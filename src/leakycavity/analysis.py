@@ -222,8 +222,8 @@ def figure_data(figure_id, case, t_max=None, n_points=None):
     default_tmax, default_n = _FIGURE_DEFAULTS[figure_id]
     t_max = default_tmax if t_max is None else float(t_max)
     n_points = default_n if n_points is None else int(n_points)
-    if not t_max > 0.0 or n_points < 2:
-        raise ValueError("need t_max > 0 and n_points >= 2")
+    if not 0.0 < t_max < np.inf or n_points < 2:
+        raise ValueError("need 0 < t_max < inf and n_points >= 2")
     t = np.linspace(0.0, t_max, n_points)
     if figure_id == 1:
         gm = rate_closed_form(s, sys.omega_minus, t)
@@ -233,6 +233,6 @@ def figure_data(figure_id, case, t_max=None, n_points=None):
     traj = evolve_analytic(sys, s, t)
     if figure_id == 2:
         return FigureTable(columns=("t", "P_0g"),
-                           values=np.column_stack([t, traj.column("P_0g")]))
+                           values=np.column_stack([t, traj.P_0g]))
     return FigureTable(columns=("t", "P_atom_g"),
-                       values=np.column_stack([t, traj.column("P_atom_g")]))
+                       values=np.column_stack([t, traj.P_atom_g]))

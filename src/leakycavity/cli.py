@@ -1,19 +1,20 @@
 """Batch front-end: config parsing, subcommand dispatch, CSV emission.
 
 Subcommands: rates, evolve, figures, sweep.  Configuration is a flat
-text file of ``section.key = value`` lines ('#' starts a comment);
-``--set section.key=value`` overrides individual entries.  Output is
-CSV with a header row, 12 significant digits by default, written to
-output.path ('-' means stdout).  Runs are fully deterministic: the same
-config yields byte-identical output.
+text file of ``section.key = value`` lines ('#' starts a comment), each
+key at most once; ``--set section.key=value`` overrides individual
+entries.  Every float must be finite.  Output is CSV with a header row,
+12 significant digits by default, written to output.path ('-' means
+stdout).  Runs are fully deterministic: the same config yields
+byte-identical output.
 
-Exit codes: 0 success, 2 malformed config or usage, 3 numerical failure,
-64 unknown subcommand.
+Exit codes: 0 success, 2 malformed config or usage, 3 numerical failure
+(including a table that would hold NaN or inf), 64 unknown subcommand.
 """
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,6 +52,10 @@ class RunConfig:
     precision: int = 12
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in ("omega0", "Omega", "alpha", "lam", "t_max"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -128,7 +133,7 @@ def _read_config_file(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    updates = {}
+    updates, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,6 +142,10 @@ def _read_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected 'section.key = value'")
         key, value = line.split("=", 1)
         field, parsed = _parse_pair(key, value)
+        if field in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key.strip()!r}, "
+                              f"first set on line {first_line[field]}")
+        first_line[field] = lineno
         updates[field] = parsed
     return updates
 
@@ -165,16 +174,19 @@ def write_csv(columns, values, path, precision):
             fh.write(text)
 
 
+def _require_finite(values, what):
+    """Refuse to write NaN or inf: the run failed numerically (exit 3)."""
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(f"non-finite values in the {what}")
+
+
 def _trajectory_table(traj):
     cols = ["t", "P_E0", "P_minus", "P_plus", "re_coh", "im_coh",
             "P_0g", "P_1g", "P_0e", "P_atom_g", "P_atom_e"]
-    coh = traj.column("coh")
     data = np.column_stack(
-        [traj.times,
-         traj.column("P_E0"), traj.column("P_minus"), traj.column("P_plus"),
-         coh.real, coh.imag,
-         traj.column("P_0g"), traj.column("P_1g"), traj.column("P_0e"),
-         traj.column("P_atom_g"), traj.column("P_atom_e")])
+        [traj.times, traj.P_E0, traj.P_minus, traj.P_plus,
+         traj.coh.real, traj.coh.imag,
+         traj.P_0g, traj.P_1g, traj.P_0e, traj.P_atom_g, traj.P_atom_e])
     return cols, data
 
 
@@ -191,7 +203,9 @@ def cmd_rates(args, cfg):
         K = cfg.window_halfwidths
         data.append([rate_quadrature_oracle(s, sys_params.omega_minus, t, K) for t in ts])
         data.append([rate_quadrature_oracle(s, sys_params.omega_plus, t, K) for t in ts])
-    write_csv(cols, np.column_stack(data), cfg.output_path, cfg.precision)
+    data = np.column_stack(data)
+    _require_finite(data, "rates table")
+    write_csv(cols, data, cfg.output_path, cfg.precision)
     return 0
 
 
@@ -207,6 +221,7 @@ def cmd_evolve(args, cfg):
         traj = evolve_phenomenological(sys_params, cfg.kappa, ts,
                                        tol=cfg.tolerance())
     cols, data = _trajectory_table(traj)
+    _require_finite(data, "evolve table")
     write_csv(cols, data, cfg.output_path, cfg.precision)
     return 0
 
@@ -214,13 +229,14 @@ def cmd_evolve(args, cfg):
 def cmd_figures(args, cfg):
     table = figure_data(args.id, args.case, t_max=args.t_max,
                         n_points=args.n_points)
+    _require_finite(table.values, "figure table")
     write_csv(table.columns, table.values, cfg.output_path, cfg.precision)
     return 0
 
 
 def cmd_sweep(args, cfg):
-    if not args.lo > 0.0 or args.hi < args.lo or args.steps < 1:
-        raise ConfigError("sweep needs 0 < --from <= --to and --steps >= 1")
+    if not 0.0 < args.lo <= args.hi < np.inf or args.steps < 1:
+        raise ConfigError("sweep needs 0 < --from <= --to < inf and --steps >= 1")
     sys_params = cfg.system()
     ts = cfg.grid()
     period = np.pi / sys_params.Omega
@@ -230,12 +246,17 @@ def cmd_sweep(args, cfg):
                                omega1=sys_params.omega_minus)
         ratio = asymptotic_rate_ratio(s, sys_params)
         traj = evolve_analytic(sys_params, s, ts)
-        report = detect_plateau(ts, traj.column("P_atom_e"), osc_period=period)
+        # detect_plateau reads a NaN series as "no plateau", so check first
+        _require_finite(traj.P_atom_e, f"trajectory at lambda={lam:.12g}")
+        report = detect_plateau(ts, traj.P_atom_e, osc_period=period)
         rows.append([lam, ratio, report.trapped_value,
                      report.plateau_start, report.plateau_end])
+    rows = np.asarray(rows)
+    # plateau_start and plateau_end are NaN by design where no plateau qualifies
+    _require_finite(rows[:, :3], "sweep table")
     write_csv(["lambda", "rate_ratio", "trapped_value",
                "plateau_start", "plateau_end"],
-              np.asarray(rows), cfg.output_path, cfg.precision)
+              rows, cfg.output_path, cfg.precision)
     return 0
 
 
@@ -295,8 +316,12 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config, args.set)
-        return _COMMANDS[cmd](args, cfg)
-    except (QuadratureError, OdeSolveError) as exc:
+        # overflow and 0/0 surface through _require_finite as one error
+        # line, not as RuntimeWarnings on stderr
+        with np.errstate(all="ignore"):
+            return _COMMANDS[cmd](args, cfg)
+    except (QuadratureError, OdeSolveError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:  # ahead of ValueError, its base class
         sys.stderr.write(f"error: numerical: {exc}\n")
         return 3
     except (ConfigError, ValueError) as exc:

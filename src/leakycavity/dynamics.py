@@ -29,7 +29,6 @@ from .spectral import accumulated_rate, rate_closed_form, rate_quadrature_oracle
 
 __all__ = [
     "SystemParams",
-    "PopulationRecord",
     "Trajectory",
     "hamiltonian",
     "initial_state_atom_excited",
@@ -78,38 +77,29 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class PopulationRecord:
-    """Populations of one state in dressed, bare, and reduced-atom pictures."""
-
-    P_E0: float
-    P_minus: float
-    P_plus: float
-    coh: complex  # <E1,-| rho |E1,+>
-    P_0g: float
-    P_1g: float
-    P_0e: float
-    P_atom_g: float
-    P_atom_e: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Density matrices and derived populations on an output time grid.
 
-    ``min_eigenvalues`` monitors transient positivity: within solver
-    tolerance it may dip below zero while a rate is negative (a known
-    second-order feature, reported rather than rejected).
+    One array per quantity, each aligned with ``times``: the dressed
+    populations and coherence, the bare-basis populations and the
+    reduced-atom populations (see ``populations``).  ``min_eigenvalues``
+    monitors transient positivity: within solver tolerance it may dip
+    below zero while a rate is negative (a known second-order feature,
+    reported rather than rejected).
     """
 
     times: np.ndarray
     states: np.ndarray  # (n, 3, 3) complex
-    populations: tuple
+    P_E0: np.ndarray
+    P_minus: np.ndarray
+    P_plus: np.ndarray
+    coh: np.ndarray  # <E1,-| rho |E1,+>, complex
+    P_0g: np.ndarray
+    P_1g: np.ndarray
+    P_0e: np.ndarray
+    P_atom_g: np.ndarray
+    P_atom_e: np.ndarray
     min_eigenvalues: np.ndarray
-
-    def column(self, name):
-        """Per-time array of one PopulationRecord field, e.g. 'P_atom_e'."""
-        vals = [getattr(rec, name) for rec in self.populations]
-        return np.asarray(vals)
 
 
 def hamiltonian(sys):
@@ -136,39 +126,45 @@ def rho_analytic(sys, I_minus, I_plus, t):
     rest, and the dressed coherence only dephases and rotates:
     <E1,-|rho|E1,+> = -e^{-(I_- + I_+)/4} e^{2 i Omega t} / 2.  Its modulus
     saturates sqrt(P_- P_+) exactly, so trapping survives as long as both
-    channels hold population.
+    channels hold population.  Broadcasts over the three arguments: the
+    result has their common shape followed by (3, 3).
     """
-    if t < 0.0:
+    I_minus, I_plus, t = np.broadcast_arrays(
+        np.asarray(I_minus, dtype=float), np.asarray(I_plus, dtype=float),
+        np.asarray(t, dtype=float))
+    if np.any(t < 0.0):
         raise ValueError("t must be nonnegative")
-    rho = np.zeros((3, 3), dtype=complex)
-    rho[MINUS, MINUS] = 0.5 * np.exp(-0.5 * I_minus)
-    rho[PLUS, PLUS] = 0.5 * np.exp(-0.5 * I_plus)
+    rho = np.zeros(t.shape + (3, 3), dtype=complex)
+    rho[..., MINUS, MINUS] = 0.5 * np.exp(-0.5 * I_minus)
+    rho[..., PLUS, PLUS] = 0.5 * np.exp(-0.5 * I_plus)
     # 1 - P_- - P_+ via expm1 keeps the small-t quadratic growth exact
-    rho[E0, E0] = -0.5 * (np.expm1(-0.5 * I_minus) + np.expm1(-0.5 * I_plus))
+    rho[..., E0, E0] = -0.5 * (np.expm1(-0.5 * I_minus) + np.expm1(-0.5 * I_plus))
     coh = -0.5 * np.exp(-0.25 * (I_minus + I_plus)) * np.exp(2j * sys.Omega * t)
-    rho[MINUS, PLUS] = coh
-    rho[PLUS, MINUS] = np.conj(coh)
+    rho[..., MINUS, PLUS] = coh
+    rho[..., PLUS, MINUS] = np.conj(coh)
     return rho
 
 
 def populations(rho):
     """Dressed populations plus bare-basis and reduced-atom probabilities.
 
-    The bare pair mixes through the real part of the dressed coherence:
-    P_1g, P_0e = (P_- + P_+)/2 +- Re coh.  The atomic excited-state
-    population equals P_0e since |E0> and |1,g> both hold the atom in g.
+    Returns a dict keyed by the ``Trajectory`` field names, each value
+    shaped like the leading axes of ``rho`` (a stack of 3x3 states, or
+    one).  The bare pair mixes through the real part of the dressed
+    coherence: P_1g, P_0e = (P_- + P_+)/2 +- Re coh.  The atomic
+    excited-state population equals P_0e since |E0> and |1,g> both hold
+    the atom in g.
     """
-    P_E0 = rho[E0, E0].real
-    P_minus = rho[MINUS, MINUS].real
-    P_plus = rho[PLUS, PLUS].real
-    coh = complex(rho[MINUS, PLUS])
+    P_E0 = rho[..., E0, E0].real
+    P_minus = rho[..., MINUS, MINUS].real
+    P_plus = rho[..., PLUS, PLUS].real
+    coh = rho[..., MINUS, PLUS]
     half = 0.5 * (P_minus + P_plus)
     P_1g = half + coh.real
     P_0e = half - coh.real
-    return PopulationRecord(
-        P_E0=P_E0, P_minus=P_minus, P_plus=P_plus, coh=coh,
-        P_0g=P_E0, P_1g=P_1g, P_0e=P_0e,
-        P_atom_g=P_E0 + P_1g, P_atom_e=P_0e)
+    return dict(P_E0=P_E0, P_minus=P_minus, P_plus=P_plus, coh=coh,
+                P_0g=P_E0, P_1g=P_1g, P_0e=P_0e,
+                P_atom_g=P_E0 + P_1g, P_atom_e=P_0e)
 
 
 def _as_time_grid(t_grid):
@@ -182,21 +178,23 @@ def _as_time_grid(t_grid):
     return ts
 
 
-def _finish_trajectory(ts, states):
-    pops = tuple(populations(rho) for rho in states)
-    min_eig = np.linalg.eigvalsh(states)[:, 0]
-    return Trajectory(times=ts, states=states, populations=pops,
-                      min_eigenvalues=min_eig)
-
-
 def evolve_analytic(sys, s, t_grid):
-    """Trajectory from the closed-form solution, rates accumulated analytically."""
+    """Trajectory from the closed-form solution, rates accumulated analytically.
+
+    The exact state is |E0><E0| P_E0 plus a 2x2 dressed block whose
+    coherence saturates |coh|^2 = P_- P_+, so its spectrum is known in
+    closed form and the minimum eigenvalue needs no diagonalisation.
+    """
     ts = _as_time_grid(t_grid)
-    I_m = np.atleast_1d(accumulated_rate(s, sys.omega_minus, ts))
-    I_p = np.atleast_1d(accumulated_rate(s, sys.omega_plus, ts))
-    states = np.array([rho_analytic(sys, im, ip, ti)
-                       for im, ip, ti in zip(I_m, I_p, ts)])
-    return _finish_trajectory(ts, states)
+    I_m = accumulated_rate(s, sys.omega_minus, ts)
+    I_p = accumulated_rate(s, sys.omega_plus, ts)
+    states = rho_analytic(sys, I_m, I_p, ts)
+    pops = populations(states)
+    P_m, P_p = pops["P_minus"], pops["P_plus"]
+    block_min = 0.5 * (P_m + P_p
+                       - np.sqrt((P_m - P_p) ** 2 + 4.0 * np.abs(pops["coh"]) ** 2))
+    return Trajectory(times=ts, states=states,
+                      min_eigenvalues=np.minimum(pops["P_E0"], block_min), **pops)
 
 
 # real 9-vector packing of a Hermitian 3x3: diagonal then re/im of the
@@ -242,7 +240,9 @@ def _propagate(sys, rates_fn, t_grid, tol):
 
     y = ode_solve(rhs, _pack(initial_state_atom_excited()), ts, tol)
     states = np.array([_unpack(row) for row in y])
-    return _finish_trajectory(ts, states)
+    return Trajectory(times=ts, states=states,
+                      min_eigenvalues=np.linalg.eigvalsh(states)[:, 0],
+                      **populations(states))
 
 
 def evolve_tcl_ode(sys, s, t_grid, rate_mode="closed-form", tol=None,

@@ -3,14 +3,15 @@
 Adaptive 1-D quadrature (QUADPACK via scipy), a vectorized composite
 Gauss-Legendre rule for smooth oscillatory windows, cumulative integrals
 on sample grids, and an adaptive RK45 propagator with dense output.
-All functions are pure; there is no shared mutable state.
+All functions are pure; there is no shared mutable state.  scipy is
+imported inside the two functions that use it, so the closed-form paths
+(figures, sweep, analytic evolution) never pay for loading it.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import RK45, cumulative_trapezoid, quad
 
 __all__ = [
     "ToleranceSpec",
@@ -73,6 +74,8 @@ def adaptive_quadrature(f, a, b, tol=None, weight=None, wvar=None):
         raise ValueError(f"integration bounds out of order: a={a} > b={b}")
     if a == b:
         return 0.0
+    from scipy.integrate import quad
+
     kwargs = dict(epsabs=tol.abs_tol, epsrel=tol.rel_tol,
                   limit=tol.max_steps, full_output=True)
     if weight is not None:
@@ -126,12 +129,10 @@ def panel_gauss(f, a, b, max_width, order=16, breakpoints=()):
 
 
 def cumulative_integral(t, values):
-    """Cumulative integral from 0 of sampled values on a strictly increasing grid.
+    """Cumulative integral from t[0] of sampled values on a strictly increasing grid.
 
     Composite trapezoid.  The output is aligned with ``t``: entry i holds
-    the integral from 0 to t[i].  If t[0] > 0 the integrand is extended
-    to t = 0 by linear extrapolation of the first two samples, keeping
-    the leading segment second-order accurate like the rest.
+    the integral from t[0] to t[i], so entry 0 is 0.
     """
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -143,11 +144,8 @@ def cumulative_integral(t, values):
         raise ValueError(f"grid must start at t >= 0, got t[0]={t[0]}")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    out = cumulative_trapezoid(values, t, initial=0.0)
-    if t[0] > 0.0:
-        f0 = values[0] - (values[1] - values[0]) / (t[1] - t[0]) * t[0]
-        out = out + 0.5 * (f0 + values[0]) * t[0]
-    return out
+    steps = np.diff(t) * (values[1:] + values[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def ode_solve(deriv, state0, t_grid, tol=None, max_step=None, first_step=None):
@@ -172,6 +170,8 @@ def ode_solve(deriv, state0, t_grid, tol=None, max_step=None, first_step=None):
     out[0] = y0
     if ts.size == 1:
         return out
+    from scipy.integrate import RK45
+
     solver = RK45(deriv, ts[0], y0, t_bound=ts[-1],
                   rtol=tol.rel_tol, atol=tol.abs_tol,
                   max_step=np.inf if max_step is None else max_step,

@@ -24,14 +24,11 @@ from .numerics import ToleranceSpec, adaptive_quadrature, panel_gauss
 
 __all__ = [
     "LorentzianSpectrum",
-    "RateEvaluation",
     "spectral_density",
-    "lorentzian_mass",
     "rate_closed_form",
     "stationary_rate",
     "rate_quadrature_oracle",
     "accumulated_rate",
-    "rate_evaluation",
 ]
 
 
@@ -54,27 +51,11 @@ class LorentzianSpectrum:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class RateEvaluation:
-    """A decay-rate sample: gamma(omega, t) and its accumulation I(omega, t)."""
-
-    omega: float
-    t: float
-    gamma: float
-    I: float
-
-
 def spectral_density(s, omega):
     """J(omega), vectorized over omega."""
     omega = np.asarray(omega, dtype=float)
     out = (s.alpha * s.lam**2 / (2.0 * np.pi)) / ((s.omega1 - omega) ** 2 + s.lam**2)
     return out if out.ndim else float(out)
-
-
-def lorentzian_mass(s, a, b):
-    """Exact integral of J over [a, b] from the arctan antiderivative."""
-    return (s.alpha * s.lam / (2.0 * np.pi)) * (
-        np.arctan((b - s.omega1) / s.lam) - np.arctan((a - s.omega1) / s.lam))
 
 
 def _check_nonnegative_time(t):
@@ -158,44 +139,25 @@ def rate_quadrature_oracle(s, omega, t, window_halfwidths=200, tol=None):
     return window + tails
 
 
-def accumulated_rate(s, omega, t, mode="closed-form", tol=None):
-    """I(omega, t) = int_0^t gamma(omega, t') dt'.
+def accumulated_rate(s, omega, t):
+    """I(omega, t) = int_0^t gamma(omega, t') dt', in closed form.
 
-    closed-form mode uses the antiderivative of the rate expression
-    (derivation in docs/rate_integral.md),
+    The antiderivative of the rate expression (derivation in
+    docs/rate_integral.md) is
 
         I = k * ( t + (d^2 - lam^2)/(lam D)
                   - e^{-lam t} [ 2 d sin(d t) + ((d^2 - lam^2)/lam) cos(d t) ] / D ),
 
     with d = omega1 - omega and D = d^2 + lam^2; it vanishes at t = 0 and
-    broadcasts over t.  quadrature mode integrates rate_closed_form
-    numerically instead (scalar t per call internally) and exists as an
-    independent check on the antiderivative.
+    broadcasts over omega and t.
     """
     _check_nonnegative_time(t)
-    if mode == "closed-form":
-        omega = np.asarray(omega, dtype=float)
-        t = np.asarray(t, dtype=float)
-        d = s.omega1 - omega
-        D = d * d + s.lam**2
-        k = s.alpha * s.lam**2 / D
-        c = (d * d - s.lam**2) / s.lam
-        out = k * (t + c / D
-                   - np.exp(-s.lam * t) * (2.0 * d * np.sin(d * t) + c * np.cos(d * t)) / D)
-        return out if out.ndim else float(out)
-    if mode == "quadrature":
-        if tol is None:
-            tol = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-13, max_steps=200)
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([adaptive_quadrature(
-            lambda tp: rate_closed_form(s, omega, tp), 0.0, ti, tol) for ti in ts])
-        return out if np.ndim(t) else float(out[0])
-    raise ValueError(f"unknown mode {mode!r}, expected 'closed-form' or 'quadrature'")
-
-
-def rate_evaluation(s, omega, t, mode="closed-form"):
-    """Bundle gamma(omega, t) and I(omega, t) into a RateEvaluation record."""
-    gamma = (rate_closed_form(s, omega, t) if mode == "closed-form"
-             else rate_quadrature_oracle(s, omega, t))
-    return RateEvaluation(omega=float(omega), t=float(t), gamma=float(gamma),
-                          I=float(accumulated_rate(s, omega, t)))
+    omega = np.asarray(omega, dtype=float)
+    t = np.asarray(t, dtype=float)
+    d = s.omega1 - omega
+    D = d * d + s.lam**2
+    k = s.alpha * s.lam**2 / D
+    c = (d * d - s.lam**2) / s.lam
+    out = k * (t + c / D
+               - np.exp(-s.lam * t) * (2.0 * d * np.sin(d * t) + c * np.cos(d * t)) / D)
+    return out if out.ndim else float(out)

@@ -14,7 +14,7 @@ def _atom_excited_series(case, t_max, n):
     sys, s = reference_case(case)
     ts = np.linspace(0.0, t_max, n)
     traj = evolve_analytic(sys, s, ts)
-    return ts, traj.column("P_atom_e")
+    return ts, traj.P_atom_e
 
 
 def test_detect_plateau_broad_reservoir():
@@ -95,7 +95,7 @@ def test_short_time_exponent_reference_dynamics():
     for case in ("a", "b"):
         sys, s = reference_case(case)
         ts = np.logspace(-3, -2, 25)
-        P = evolve_analytic(sys, s, ts).column("P_E0")
+        P = evolve_analytic(sys, s, ts).P_E0
         fit = short_time_exponent(ts, P)
         assert abs(fit.exponent - 2.0) < 0.05
         assert fit.r_squared > 0.999
@@ -199,3 +199,5 @@ def test_figure_data_rejections():
         figure_data(1, "z")
     with pytest.raises(ValueError):
         figure_data(1, "a", n_points=1)
+    with pytest.raises(ValueError):
+        figure_data(2, "a", t_max=np.inf)

@@ -1,5 +1,10 @@
 """Config parsing, subcommand output, and exit-code contract of the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -77,6 +82,19 @@ def test_config_rejections(tmp_path):
     path = write_config(tmp_path, "system.omega0\n")
     with pytest.raises(ConfigError, match="expected 'section.key = value'"):
         load_config(path, [])
+
+
+def test_duplicate_config_key_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, CASE_B + "reservoir.alpha = 0.2\n")
+    with pytest.raises(ConfigError, match=r"run.cfg:9: duplicate key "
+                                          r"'reservoir.alpha', first set on line 4"):
+        load_config(path, [])
+    code, _, err = run_cli(["evolve", "--config", path], capsys)
+    assert code == 2
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    # --set may still override a key the file sets
+    assert load_config(write_config(tmp_path, CASE_B, "ok.cfg"),
+                       ["reservoir.alpha=0.2"]).alpha == 0.2
 
 
 def test_kappa_tied_to_phenomenological_mode():
@@ -259,3 +277,64 @@ def test_numerical_failure_exit_3(tmp_path, capsys, monkeypatch):
         ["evolve", "--config", path, "--set", "solver.mode=tcl-ode"], capsys)
     assert code == 3
     assert err.startswith("error: numerical:") and err.count("\n") == 1
+
+
+def test_linalg_failure_is_numerical_not_config(tmp_path, capsys, monkeypatch):
+    def explode(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "evolve_analytic", explode)
+    code, _, err = run_cli(["evolve", "--config", write_config(tmp_path, CASE_B)],
+                           capsys)
+    assert code == 3
+    assert err == "error: numerical: Eigenvalues did not converge\n"
+
+
+@pytest.mark.parametrize("override, code, prefix", [
+    ("evolve.t_max=inf", 2, "error: config: t_max must be finite"),
+    ("reservoir.alpha=inf", 2, "error: config: alpha must be finite"),
+    # finite but so narrow that lam**2 underflows and the rates read 0/0
+    ("reservoir.lambda=1e-300", 3, "error: numerical: non-finite values"),
+])
+def test_nonfinite_input_or_output_is_one_error_line(tmp_path, capsys, override,
+                                                     code, prefix):
+    path = write_config(tmp_path, CASE_B)
+    out_path = tmp_path / "out.csv"
+    got, out, err = run_cli(
+        ["evolve", "--config", path, "--set", override,
+         "--set", f"output.path={out_path}"], capsys)
+    assert got == code
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert out == "" and not out_path.exists()
+
+
+SCIPY_FREE_SCRIPT = """\
+import sys
+from leakycavity.cli import main
+
+out, cfg = sys.argv[1], sys.argv[2]
+assert main(["figures", "--id", "3", "--case", "b",
+             "--set", f"output.path={out}/fig.csv"]) == 0
+assert main(["sweep", "--config", cfg, "--param", "lambda", "--from", "0.2",
+             "--to", "1.0", "--steps", "3", "--set", f"output.path={out}/sweep.csv"]) == 0
+assert "scipy" not in sys.modules, "the analytic commands loaded scipy"
+assert main(["evolve", "--config", cfg, "--set", "solver.mode=tcl-ode",
+             "--set", "evolve.t_max=5", "--set", "evolve.n_output=51",
+             "--set", f"output.path={out}/ode.csv"]) == 0
+assert "scipy" in sys.modules
+"""
+
+
+def test_analytic_commands_never_import_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    cfg = write_config(tmp_path, CASE_B)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path), cfg],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    for name in ("fig.csv", "sweep.csv", "ode.csv"):
+        assert (tmp_path / name).stat().st_size > 0

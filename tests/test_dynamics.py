@@ -7,7 +7,8 @@ from leakycavity.dynamics import (SystemParams, evolve_analytic,
                                   initial_state_atom_excited, populations,
                                   rho_analytic)
 from leakycavity.numerics import ToleranceSpec
-from leakycavity.spectral import LorentzianSpectrum, rate_closed_form
+from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
+                                  rate_closed_form)
 
 
 def test_system_params_validation_and_warning():
@@ -69,30 +70,78 @@ def test_rho_analytic_trace_and_saturated_coherence():
 
 def test_populations_of_reference_states():
     rec = populations(initial_state_atom_excited())
-    assert abs(rec.P_atom_e - 1.0) < 1e-15
-    assert abs(rec.P_atom_g) < 1e-15
-    assert rec.P_0g == 0.0
+    assert abs(rec["P_atom_e"] - 1.0) < 1e-15
+    assert abs(rec["P_atom_g"]) < 1e-15
+    assert rec["P_0g"] == 0.0
     plus = np.zeros((3, 3), dtype=complex)
     plus[2, 2] = 1.0
     rec = populations(plus)
-    assert rec.P_1g == 0.5 and rec.P_0e == 0.5
-    assert abs(rec.P_atom_g - 0.5) < 1e-15
+    assert rec["P_1g"] == 0.5 and rec["P_0e"] == 0.5
+    assert abs(rec["P_atom_g"] - 0.5) < 1e-15
+
+
+def _rho_analytic_per_sample(sys, I_minus, I_plus, t):
+    """Scalar reference for rho_analytic: one 3x3 state per call."""
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[1, 1] = 0.5 * np.exp(-0.5 * I_minus)
+    rho[2, 2] = 0.5 * np.exp(-0.5 * I_plus)
+    rho[0, 0] = -0.5 * (np.expm1(-0.5 * I_minus) + np.expm1(-0.5 * I_plus))
+    coh = -0.5 * np.exp(-0.25 * (I_minus + I_plus)) * np.exp(2j * sys.Omega * t)
+    rho[1, 2] = coh
+    rho[2, 1] = np.conj(coh)
+    return rho
+
+
+def _populations_per_sample(rho):
+    """Scalar reference for populations: Python numbers from one state."""
+    P_E0, P_minus, P_plus = rho[0, 0].real, rho[1, 1].real, rho[2, 2].real
+    coh = complex(rho[1, 2])
+    half = 0.5 * (P_minus + P_plus)
+    P_1g, P_0e = half + coh.real, half - coh.real
+    return dict(P_E0=P_E0, P_minus=P_minus, P_plus=P_plus, coh=coh,
+                P_0g=P_E0, P_1g=P_1g, P_0e=P_0e,
+                P_atom_g=P_E0 + P_1g, P_atom_e=P_0e)
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_vectorized_analytic_matches_per_sample_reference(case):
+    sys, s = reference_case(case)
+    ts = np.linspace(0.0, 300.0, 6001)  # the figure-3 grid
+    I_m = accumulated_rate(s, sys.omega_minus, ts)
+    I_p = accumulated_rate(s, sys.omega_plus, ts)
+    ref_states = np.array([_rho_analytic_per_sample(sys, im, ip, ti)
+                           for im, ip, ti in zip(I_m, I_p, ts)])
+    np.testing.assert_array_equal(rho_analytic(sys, I_m, I_p, ts), ref_states)
+    traj = evolve_analytic(sys, s, ts)
+    np.testing.assert_array_equal(traj.states, ref_states)
+    ref = [_populations_per_sample(rho) for rho in ref_states]
+    for name in ref[0]:
+        np.testing.assert_array_equal(getattr(traj, name), [r[name] for r in ref])
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_closed_form_min_eigenvalue_matches_eigvalsh(case):
+    sys, s = reference_case(case)
+    traj = evolve_analytic(sys, s, np.linspace(0.0, 300.0, 6001))
+    np.testing.assert_allclose(traj.min_eigenvalues,
+                               np.linalg.eigvalsh(traj.states)[:, 0],
+                               rtol=0, atol=1e-12)
 
 
 def test_population_identities_along_analytic_trajectory():
     sys, s = reference_case("a")
     ts = np.linspace(0.0, 40.0, 401)
     traj = evolve_analytic(sys, s, ts)
-    P_E0 = traj.column("P_E0")
-    P_m = traj.column("P_minus")
-    P_p = traj.column("P_plus")
-    coh = traj.column("coh")
+    P_E0 = traj.P_E0
+    P_m = traj.P_minus
+    P_p = traj.P_plus
+    coh = traj.coh
     assert np.max(np.abs(P_E0 + P_m + P_p - 1.0)) < 1e-12
-    np.testing.assert_array_equal(traj.column("P_0g"), P_E0)
-    np.testing.assert_allclose(traj.column("P_1g") + traj.column("P_0e"),
+    np.testing.assert_array_equal(traj.P_0g, P_E0)
+    np.testing.assert_allclose(traj.P_1g + traj.P_0e,
                                P_m + P_p, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(traj.column("P_atom_g"),
-                               traj.column("P_0g") + traj.column("P_1g"),
+    np.testing.assert_allclose(traj.P_atom_g,
+                               traj.P_0g + traj.P_1g,
                                rtol=0, atol=0)
     assert np.all(np.abs(coh) <= np.sqrt(P_m * P_p) + 1e-12)
 
@@ -101,7 +150,7 @@ def test_bare_population_oscillates_at_twice_the_coupling():
     # peak spacing of P_0e is pi/Omega
     sys, s = reference_case("a")
     ts = np.linspace(0.0, 20.0, 20001)
-    P_0e = evolve_analytic(sys, s, ts).column("P_0e")
+    P_0e = evolve_analytic(sys, s, ts).P_0e
     interior = (P_0e[1:-1] > P_0e[:-2]) & (P_0e[1:-1] > P_0e[2:])
     peaks = ts[1:-1][interior]
     spacing = np.diff(peaks)
@@ -143,8 +192,8 @@ def test_ode_rates_forced_to_zero_gives_rabi_oscillation():
     ts = np.linspace(0.0, 12.0, 241)
     traj = evolve_tcl_ode(sys, s, ts, rate_override=lambda t: (0.0, 0.0))
     expected = np.cos(sys.Omega * ts) ** 2
-    assert np.max(np.abs(traj.column("P_0e") - expected)) < 1e-9
-    assert np.max(np.abs(traj.column("P_minus") - 0.5)) < 1e-10
+    assert np.max(np.abs(traj.P_0e - expected)) < 1e-9
+    assert np.max(np.abs(traj.P_minus - 0.5)) < 1e-10
 
 
 def test_ground_population_monotone_for_nonnegative_rates():
@@ -153,7 +202,7 @@ def test_ground_population_monotone_for_nonnegative_rates():
     gm = rate_closed_form(s, sys.omega_minus, ts)
     gp = rate_closed_form(s, sys.omega_plus, ts)
     assert np.all(gm >= 0.0) and np.all(gp >= 0.0)
-    P_E0 = evolve_tcl_ode(sys, s, ts).column("P_E0")
+    P_E0 = evolve_tcl_ode(sys, s, ts).P_E0
     assert np.all(np.diff(P_E0) >= -1e-12)
 
 
@@ -164,7 +213,7 @@ def test_dressed_channels_decouple():
     traj = evolve_tcl_ode(sys, s, ts)
     dt = ts[1] - ts[0]
     for name, omega in (("P_minus", sys.omega_minus), ("P_plus", sys.omega_plus)):
-        P = traj.column(name)
+        P = getattr(traj, name)
         dP = (P[2:] - P[:-2]) / (2 * dt)
         resid = dP + 0.5 * rate_closed_form(s, omega, ts[1:-1]) * P[1:-1]
         assert np.max(np.abs(resid)) < 1e-6
@@ -181,7 +230,7 @@ def test_populations_independent_of_omega0():
         s_w = LorentzianSpectrum(alpha=s.alpha, lam=s.lam,
                                  omega1=sys.omega_minus)
         traj = evolve_analytic(sys, s_w, ts)
-        cols = np.column_stack([traj.column(n) for n in
+        cols = np.column_stack([getattr(traj, n) for n in
                                 ("P_E0", "P_minus", "P_plus", "P_0e", "P_atom_g")])
         if base is None:
             base = cols
@@ -193,7 +242,7 @@ def test_phenomenological_kappa_zero_is_rabi():
     sys, _ = reference_case("a")
     ts = np.linspace(0.0, 12.0, 241)
     traj = evolve_phenomenological(sys, 0.0, ts)
-    assert np.max(np.abs(traj.column("P_0e") - np.cos(sys.Omega * ts) ** 2)) < 1e-9
+    assert np.max(np.abs(traj.P_0e - np.cos(sys.Omega * ts) ** 2)) < 1e-9
 
 
 def test_phenomenological_equal_channels_and_decay_bound():
@@ -201,12 +250,12 @@ def test_phenomenological_equal_channels_and_decay_bound():
     kappa = s.alpha
     ts = np.linspace(0.0, 150.0, 1501)
     traj = evolve_phenomenological(sys, kappa, ts)
-    P_m = traj.column("P_minus")
-    P_p = traj.column("P_plus")
+    P_m = traj.P_minus
+    P_p = traj.P_plus
     assert np.max(np.abs(P_p / P_m - 1.0)) < 1e-10
     # both channels decay as e^{-kappa t / 2}: past 10/kappa the atom is in g
     late = ts >= 10.0 / kappa
-    assert np.all(traj.column("P_atom_e")[late] <= 0.05)
+    assert np.all(traj.P_atom_e[late] <= 0.05)
 
 
 def test_phenomenological_rejects_negative_kappa():

@@ -110,14 +110,6 @@ def test_cumulative_matches_antiderivative():
     assert np.all(np.abs(got - exact) <= 1e-8 * alpha * t + 1e-15)
 
 
-def test_cumulative_leading_segment_extrapolation():
-    # grid starts above 0; the first segment is closed by linear extrapolation,
-    # second-order accurate: error ~ t0^2 (t0 + h) |f''| / 2 ~ 2e-5 here
-    t = np.linspace(0.05, 2.0, 2001)
-    got = cumulative_integral(t, np.cos(t))
-    assert np.max(np.abs(got - np.sin(t))) < 5e-5
-
-
 def test_cumulative_rejects_degenerate_input():
     with pytest.raises(ValueError):
         cumulative_integral(np.array([1.0]), np.array([1.0]))
