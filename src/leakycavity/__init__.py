@@ -9,7 +9,8 @@ from .analysis import (FigureTable, FitResult, TrappingReport,
                        asymptotic_rate_ratio, detect_plateau, figure_data,
                        reference_case, short_time_exponent)
 from .dynamics import (SystemParams, Trajectory, evolve_analytic,
-                       evolve_phenomenological, evolve_tcl_ode, hamiltonian,
+                       evolve_master_equation, evolve_phenomenological,
+                       evolve_tcl_ode, hamiltonian,
                        initial_state_atom_excited, populations, rho_analytic)
 from .numerics import (OdeSolveError, QuadratureError, ToleranceSpec,
                        adaptive_quadrature, cumulative_integral, ode_solve,
@@ -27,7 +28,8 @@ __all__ = [
     "stationary_rate", "rate_quadrature_oracle", "accumulated_rate",
     "SystemParams", "Trajectory", "hamiltonian",
     "initial_state_atom_excited", "rho_analytic", "populations",
-    "evolve_analytic", "evolve_tcl_ode", "evolve_phenomenological",
+    "evolve_analytic", "evolve_master_equation", "evolve_tcl_ode",
+    "evolve_phenomenological",
     "TrappingReport", "FitResult", "FigureTable", "detect_plateau",
     "short_time_exponent", "asymptotic_rate_ratio", "reference_case",
     "figure_data",

@@ -10,10 +10,12 @@ byte-identical output.
 
 Exit codes: 0 success, 2 malformed config or usage, 3 numerical failure
 (including a table that would hold NaN or inf), 64 unknown subcommand.
+A warning, such as the rotating-wave one, is one 'warning:' stderr line.
 """
 
 import argparse
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -162,10 +164,9 @@ def load_config(config_path, set_pairs):
 
 
 def write_csv(columns, values, path, precision):
-    fmt = f"%.{precision}g"
-    lines = [",".join(columns)]
-    for row in np.atleast_2d(np.asarray(values, dtype=float)):
-        lines.append(",".join(fmt % v for v in row))
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    row_fmt = ",".join([f"%.{precision}g"] * values.shape[1])
+    lines = [",".join(columns)] + [row_fmt % tuple(row) for row in values.tolist()]
     text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
@@ -314,19 +315,24 @@ def main(argv=None):
         args = _build_parser(cmd).parse_args(rest)
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
-    try:
-        cfg = load_config(args.config, args.set)
-        # overflow and 0/0 surface through _require_finite as one error
-        # line, not as RuntimeWarnings on stderr
-        with np.errstate(all="ignore"):
-            return _COMMANDS[cmd](args, cfg)
-    except (QuadratureError, OdeSolveError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:  # ahead of ValueError, its base class
-        sys.stderr.write(f"error: numerical: {exc}\n")
-        return 3
-    except (ConfigError, ValueError) as exc:
-        sys.stderr.write(f"error: config: {exc}\n")
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cfg = load_config(args.config, args.set)
+            # overflow and 0/0 surface through _require_finite as one error
+            # line, not as RuntimeWarnings on stderr
+            with np.errstate(all="ignore"):
+                return _COMMANDS[cmd](args, cfg)
+        except (QuadratureError, OdeSolveError, FloatingPointError,
+                np.linalg.LinAlgError) as exc:  # ahead of ValueError, its base class
+            sys.stderr.write(f"error: numerical: {exc}\n")
+            return 3
+        except (ConfigError, ValueError) as exc:
+            sys.stderr.write(f"error: config: {exc}\n")
+            return 2
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                sys.stderr.write(f"warning: {message}\n")
 
 
 def console_main():

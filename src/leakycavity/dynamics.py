@@ -14,7 +14,9 @@ time-local master equation
 
 L_c = |E0><E1,c|.  Populations of the two channels decay independently at
 half their rates and the equation integrates in closed form, which the
-ODE path here deliberately does not use so the two routes check each other.
+ODE path here deliberately does not use so the two routes check each other:
+it builds the linear generator G0 + gamma_-(t) G- + gamma_+(t) G+ on a real
+9-vector from H and the L_c alone, and integrates that.
 
 Basis order everywhere: [|E0>, |E1,->, |E1,+>].
 """
@@ -35,11 +37,13 @@ __all__ = [
     "rho_analytic",
     "populations",
     "evolve_analytic",
+    "evolve_master_equation",
     "evolve_tcl_ode",
     "evolve_phenomenological",
 ]
 
 E0, MINUS, PLUS = 0, 1, 2
+_ODE_TOL = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-12, max_steps=1_000_000)
 
 
 @dataclass(frozen=True)
@@ -197,80 +201,70 @@ def evolve_analytic(sys, s, t_grid):
                       min_eigenvalues=np.minimum(pops["P_E0"], block_min), **pops)
 
 
-# real 9-vector packing of a Hermitian 3x3: diagonal then re/im of the
-# upper triangle; keeps the ODE state real and Hermiticity structural
+# Hermitian 3x3 states (over leading axes) as real 9-vectors: the diagonal,
+# then re/im of the upper triangle, picked from the (3, 6) real view
+_PACKED = ([0, 1, 2, 0, 0, 0, 0, 1, 1], [0, 2, 4, 2, 3, 4, 5, 4, 5])
+
+
 def _pack(rho):
-    return np.array([
-        rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
-        rho[0, 1].real, rho[0, 1].imag,
-        rho[0, 2].real, rho[0, 2].imag,
-        rho[1, 2].real, rho[1, 2].imag])
+    return np.ascontiguousarray(rho).view(float)[..., _PACKED[0], _PACKED[1]]
 
 
 def _unpack(y):
-    rho = np.empty((3, 3), dtype=complex)
-    rho[0, 0] = y[0]
-    rho[1, 1] = y[1]
-    rho[2, 2] = y[2]
-    rho[0, 1] = y[3] + 1j * y[4]
-    rho[0, 2] = y[5] + 1j * y[6]
-    rho[1, 2] = y[7] + 1j * y[8]
-    rho[1, 0] = np.conj(rho[0, 1])
-    rho[2, 0] = np.conj(rho[0, 2])
-    rho[2, 1] = np.conj(rho[1, 2])
-    return rho
+    rho = np.zeros(np.shape(y)[:-1] + (3, 3), dtype=complex)
+    rho.view(float)[..., _PACKED[0], _PACKED[1]] = y
+    return rho + np.conj(np.swapaxes(np.triu(rho, 1), -1, -2))
 
 
-def _propagate(sys, rates_fn, t_grid, tol):
-    ts = _as_time_grid(t_grid)
+def _generator(sys):
+    """[G0, G-, G+]: column k is -i[H, .] or a dissipator applied to _unpack(e_k)."""
+    basis = _unpack(np.eye(9))
     H = hamiltonian(sys)
-    L_m = np.zeros((3, 3), dtype=complex)
-    L_m[E0, MINUS] = 1.0
-    L_p = np.zeros((3, 3), dtype=complex)
-    L_p[E0, PLUS] = 1.0
-    channels = ((L_m, L_m.conj().T @ L_m), (L_p, L_p.conj().T @ L_p))
+    gens = [_pack(-1j * (H @ basis - basis @ H)).T]
+    for c in (MINUS, PLUS):
+        L = np.zeros((3, 3), dtype=complex)
+        L[E0, c] = 1.0
+        proj = L.conj().T @ L
+        gens.append(_pack(0.5 * (L @ basis @ L.conj().T)
+                          - 0.25 * (proj @ basis + basis @ proj)).T)
+    return gens
+
+
+def evolve_master_equation(sys, rates, t_grid, tol=None):
+    """Propagate the master equation as a 9-real-dimensional linear ODE.
+
+    ``rates(t) -> (gamma_minus, gamma_plus)`` weights the channel generators.
+    """
+    ts = _as_time_grid(t_grid)
+    G0, G_m, G_p = _generator(sys)
 
     def rhs(t, y):
-        rho = _unpack(y)
-        drho = -1j * (H @ rho - rho @ H)
-        for g, (L, proj) in zip(rates_fn(t), channels):
-            drho += 0.5 * g * (L @ rho @ L.conj().T)
-            drho -= 0.25 * g * (proj @ rho + rho @ proj)
-        return _pack(drho)
+        g_m, g_p = rates(t)
+        return (G0 + g_m * G_m + g_p * G_p) @ y
 
-    y = ode_solve(rhs, _pack(initial_state_atom_excited()), ts, tol)
-    states = np.array([_unpack(row) for row in y])
+    y = ode_solve(rhs, _pack(initial_state_atom_excited()), ts,
+                  _ODE_TOL if tol is None else tol)
+    states = _unpack(y)
     return Trajectory(times=ts, states=states,
                       min_eigenvalues=np.linalg.eigvalsh(states)[:, 0],
                       **populations(states))
 
 
-def evolve_tcl_ode(sys, s, t_grid, rate_mode="closed-form", tol=None,
-                   rate_override=None):
-    """Propagate the master equation directly as a 9-real-dimensional ODE.
+def evolve_tcl_ode(sys, s, t_grid, rate_mode="closed-form", tol=None):
+    """The master equation with the rates of spectrum s, propagated as an ODE.
 
     rate_mode selects where gamma_-+(t) comes from: 'closed-form' (fast)
     or 'quadrature' (the oracle, evaluated fresh at every solver stage,
-    so keep the horizon short).  rate_override, a callable
-    t -> (gamma_minus, gamma_plus), replaces both and serves limit
-    studies such as switching one channel off.
+    so keep the horizon short).
     """
-    if tol is None:
-        tol = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-12, max_steps=1_000_000)
-    if rate_override is not None:
-        rates_fn = rate_override
-    elif rate_mode == "closed-form":
-        def rates_fn(t):
-            return (rate_closed_form(s, sys.omega_minus, t),
-                    rate_closed_form(s, sys.omega_plus, t))
-    elif rate_mode == "quadrature":
-        def rates_fn(t):
-            return (rate_quadrature_oracle(s, sys.omega_minus, t),
-                    rate_quadrature_oracle(s, sys.omega_plus, t))
-    else:
+    rate = {"closed-form": rate_closed_form,
+            "quadrature": rate_quadrature_oracle}.get(rate_mode)
+    if rate is None:
         raise ValueError(
             f"unknown rate_mode {rate_mode!r}, expected 'closed-form' or 'quadrature'")
-    return _propagate(sys, rates_fn, t_grid, tol)
+    return evolve_master_equation(
+        sys, lambda t: (rate(s, sys.omega_minus, t), rate(s, sys.omega_plus, t)),
+        t_grid, tol)
 
 
 def evolve_phenomenological(sys, kappa, t_grid, tol=None):
@@ -283,6 +277,4 @@ def evolve_phenomenological(sys, kappa, t_grid, tol=None):
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    if tol is None:
-        tol = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-12, max_steps=1_000_000)
-    return _propagate(sys, lambda t: (kappa, kappa), t_grid, tol)
+    return evolve_master_equation(sys, lambda t: (kappa, kappa), t_grid, tol)

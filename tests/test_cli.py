@@ -202,6 +202,30 @@ def test_figures_deterministic_output_files(tmp_path, capsys):
     assert first.startswith(b"t,P_0g\n")
 
 
+def _write_csv_per_value(columns, values, precision):
+    """Reference writer: every value formatted on its own."""
+    fmt = f"%.{precision}g"
+    lines = [",".join(columns)]
+    for row in np.atleast_2d(np.asarray(values, dtype=float)):
+        lines.append(",".join(fmt % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("precision", [1, 12, 17])
+def test_write_csv_matches_per_value_formatting(tmp_path, precision):
+    values = np.array([
+        [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e-300],
+        [1.7976931348623157e308, -1.7976931348623157e308, 1e300, -3.5, 1.0 / 3.0],
+        [-2.0 / 3.0, 123456789.123456789, -1e-5, 0.5, 7.0],
+    ])
+    columns = ["a", "b", "c", "d", "e"]
+    out_path = tmp_path / "table.csv"
+    cli.write_csv(columns, values, str(out_path), precision)
+    assert out_path.read_text() == _write_csv_per_value(columns, values, precision)
+    cli.write_csv(columns, values[0], str(out_path), precision)  # one 1-D row
+    assert out_path.read_text() == _write_csv_per_value(columns, values[0], precision)
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -288,6 +312,17 @@ def test_linalg_failure_is_numerical_not_config(tmp_path, capsys, monkeypatch):
                            capsys)
     assert code == 3
     assert err == "error: numerical: Eigenvalues did not converge\n"
+
+
+def test_rotating_wave_warning_is_one_stderr_line(tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        ["evolve", "--config", os.devnull, "--set", "system.omega0=2",
+         "--set", f"output.path={out_path}"], capsys)
+    assert code == 0 and out == ""
+    assert err == ("warning: Omega/omega0 = 0.25 > 0.1; the rotating-wave "
+                   "treatment behind the dressed-state channels is questionable here\n")
+    assert out_path.read_text().startswith("t,P_E0,")
 
 
 @pytest.mark.parametrize("override, code, prefix", [

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from leakycavity.analysis import reference_case
-from leakycavity.dynamics import (SystemParams, evolve_analytic,
+from leakycavity.dynamics import (SystemParams, _pack, _unpack,
+                                  evolve_analytic, evolve_master_equation,
                                   evolve_phenomenological, evolve_tcl_ode,
-                                  initial_state_atom_excited, populations,
-                                  rho_analytic)
-from leakycavity.numerics import ToleranceSpec
+                                  hamiltonian, initial_state_atom_excited,
+                                  populations, rho_analytic)
+from leakycavity.numerics import ToleranceSpec, ode_solve
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
                                   rate_closed_form)
 
@@ -190,10 +191,48 @@ def test_ode_unknown_rate_mode():
 def test_ode_rates_forced_to_zero_gives_rabi_oscillation():
     sys, s = reference_case("a")
     ts = np.linspace(0.0, 12.0, 241)
-    traj = evolve_tcl_ode(sys, s, ts, rate_override=lambda t: (0.0, 0.0))
+    traj = evolve_master_equation(sys, lambda t: (0.0, 0.0), ts)
     expected = np.cos(sys.Omega * ts) ** 2
     assert np.max(np.abs(traj.P_0e - expected)) < 1e-9
     assert np.max(np.abs(traj.P_minus - 0.5)) < 1e-10
+
+
+def _per_call_rhs(sys, rates):
+    """Reference RHS: the master equation re-derived on 3x3 states at every call."""
+    H = hamiltonian(sys)
+    L_m = np.zeros((3, 3), dtype=complex)
+    L_m[0, 1] = 1.0
+    L_p = np.zeros((3, 3), dtype=complex)
+    L_p[0, 2] = 1.0
+    channels = ((L_m, L_m.conj().T @ L_m), (L_p, L_p.conj().T @ L_p))
+
+    def rhs(t, y):
+        rho = _unpack(y)
+        drho = -1j * (H @ rho - rho @ H)
+        for g, (L, proj) in zip(rates(t), channels):
+            drho += 0.5 * g * (L @ rho @ L.conj().T)
+            drho -= 0.25 * g * (proj @ rho + rho @ proj)
+        return _pack(drho)
+    return rhs
+
+
+SYS_B, S_B = reference_case("b")
+
+
+@pytest.mark.parametrize("rates", [
+    lambda t: (rate_closed_form(S_B, SYS_B.omega_minus, t),
+               rate_closed_form(S_B, SYS_B.omega_plus, t)),
+    lambda t: (0.3, 0.05),
+], ids=["case-b", "constant-unequal"])
+def test_generator_matches_per_call_reference(rates):
+    ts = np.linspace(0.0, 12.0, 241)
+    # case b on [0, 12] takes the upper-channel rate negative
+    assert rate_closed_form(S_B, SYS_B.omega_plus, ts).min() < 0.0
+    tol = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-12, max_steps=1_000_000)
+    ref = _unpack(ode_solve(_per_call_rhs(SYS_B, rates),
+                            _pack(initial_state_atom_excited()), ts, tol))
+    got = evolve_master_equation(SYS_B, rates, ts, tol=tol)
+    assert np.max(np.abs(got.states - ref)) < 1e-10
 
 
 def test_ground_population_monotone_for_nonnegative_rates():
