@@ -8,8 +8,9 @@ entries.  Every float must be finite.  Output is CSV with a header row,
 stdout).  Runs are fully deterministic: the same config yields
 byte-identical output.
 
-Exit codes: 0 success, 2 malformed config or usage, 3 numerical failure
-(including a table that would hold NaN or inf), 64 unknown subcommand.
+Exit codes: 0 success, 2 malformed config or usage (including an output
+file that cannot be written), 3 numerical failure (including a
+table that would hold NaN or inf) or out of memory, 64 unknown subcommand.
 A warning, such as the rotating-wave one, is one 'warning:' stderr line.
 """
 
@@ -171,8 +172,11 @@ def write_csv(columns, values, path, precision):
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
 
 
 def _require_finite(values, what):
@@ -330,6 +334,9 @@ def main(argv=None):
         except (ConfigError, ValueError) as exc:
             sys.stderr.write(f"error: config: {exc}\n")
             return 2
+        except MemoryError as exc:  # a grid too large to allocate
+            sys.stderr.write(f"error: memory: {exc}\n")
+            return 3
         finally:
             for message in dict.fromkeys(str(w.message) for w in caught):
                 sys.stderr.write(f"warning: {message}\n")

@@ -69,7 +69,7 @@ class SystemParams:
             warnings.warn(
                 f"Omega/omega0 = {self.Omega / self.omega0:.3g} > 0.1; the "
                 "rotating-wave treatment behind the dressed-state channels "
-                "is questionable here", stacklevel=2)
+                "is questionable here", stacklevel=3)
 
     @property
     def omega_minus(self):

@@ -98,13 +98,12 @@ def _gauss_rule(order):
     return x, w
 
 
-def panel_gauss(f, a, b, max_width, order=16, breakpoints=()):
+def panel_gauss(f, a, b, max_width, order=16):
     """Composite Gauss-Legendre quadrature with a cap on panel width.
 
     ``f`` must accept an array of abscissae and return the values
-    elementwise (one vectorized call evaluates every node).  The
-    interval is split at any interior ``breakpoints`` first, then each
-    segment into uniform panels no wider than ``max_width``.  Exact to
+    elementwise (one vectorized call evaluates every node).  [a, b] is
+    split into uniform panels no wider than ``max_width``.  Exact to
     rounding for polynomials of degree <= 2*order-1 on a single panel;
     for smooth oscillatory integrands choose max_width below half the
     oscillation period.
@@ -114,17 +113,12 @@ def panel_gauss(f, a, b, max_width, order=16, breakpoints=()):
     if not max_width > 0.0:
         raise ValueError(f"max_width must be positive, got {max_width}")
     x, w = _gauss_rule(order)
-    edges = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = max(1, int(np.ceil((hi - lo) / max_width)))
-        bounds = np.linspace(lo, hi, n + 1)
-        mid = 0.5 * (bounds[1:] + bounds[:-1])
-        half = 0.5 * (bounds[1:] - bounds[:-1])
-        nodes.append((mid[:, None] + half[:, None] * x[None, :]).ravel())
-        weights.append((half[:, None] * w[None, :]).ravel())
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
+    n = max(1, int(np.ceil((b - a) / max_width)))
+    bounds = np.linspace(a, b, n + 1)
+    mid = 0.5 * (bounds[1:] + bounds[:-1])
+    half = 0.5 * (bounds[1:] - bounds[:-1])
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel()
     return float(np.dot(np.asarray(f(nodes), dtype=float), weights))
 
 

@@ -13,7 +13,9 @@ at transition frequency omega is the partial Fourier cosine transform
 which for the Lorentzian evaluates in closed form.  This module provides
 the closed form, its stationary limit 2*pi*J(omega), the accumulated rate
 I(omega, t) = int_0^t gamma, and a brute-force quadrature oracle that
-evaluates the double integral directly without using the closed form.
+evaluates the double integral directly without using the closed form:
+after the time integral, one window integral and one Fourier tail over
+the distance x = |omega' - omega| from the channel frequency.
 """
 
 from dataclasses import dataclass
@@ -91,17 +93,19 @@ def stationary_rate(s, omega):
 def rate_quadrature_oracle(s, omega, t, window_halfwidths=200, tol=None):
     """gamma(omega, t) by direct quadrature of the spectral-density integral.
 
-    Performs the time integral analytically under the omega' integral,
+    Performs the time integral analytically under the omega' integral and
+    folds the result about omega (x = |omega' - omega|), so that both sides
+    share the kernel sin(x t)/x:
 
-        gamma(omega, t) = int domega' J(omega') * 2 sin((omega-omega') t) / (omega-omega'),
+        gamma(omega, t) = int_0^inf [J(omega+x) + J(omega-x)] * 2 sin(x t)/x dx.
 
-    and evaluates the omega' integral numerically: composite Gauss-Legendre
-    over a window of K = window_halfwidths half-widths around the peak
-    (panels subdivided at omega1 and at omega, and kept below half an
-    oscillation period of the kernel), plus Fourier-weighted infinite-tail
-    quadrature outside the window.  The tail integrand J(u)/(omega - u) is
-    smooth there because the window always covers omega.  No use is made
-    of the closed-form result; this is a test oracle, not a fast path.
+    The x integral is evaluated numerically: composite Gauss-Legendre on
+    the window [0, R], R = |omega1 - omega| + K half-widths with
+    K = window_halfwidths (panels kept below half a half-width and below
+    half an oscillation period of the kernel), plus one Fourier-weighted
+    quadrature of the smooth tail integrand 2 [J(omega+x) + J(omega-x)]/x
+    against sin(x t) on [R, inf).  No use is made of the closed-form
+    result; this is a test oracle, not a fast path.
     """
     _check_nonnegative_time(t)
     t = float(t)
@@ -111,32 +115,18 @@ def rate_quadrature_oracle(s, omega, t, window_halfwidths=200, tol=None):
         return 0.0
     if tol is None:
         tol = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-12 * s.alpha, max_steps=200)
-    K = float(window_halfwidths)
-    lo = min(s.omega1, omega) - K * s.lam
-    hi = max(s.omega1, omega) + K * s.lam
+    R = abs(s.omega1 - omega) + float(window_halfwidths) * s.lam
 
-    def kernel(u):
-        # 2 sin((omega-u) t)/(omega-u) with the removable singularity at u=omega
-        return spectral_density(s, u) * 2.0 * t * np.sinc((omega - u) * t / np.pi)
+    def folded(x):
+        return spectral_density(s, omega + x) + spectral_density(s, omega - x)
 
     width = min(s.lam / 2.0, 0.5 * np.pi / t)
-    window = panel_gauss(kernel, lo, hi, width, breakpoints=(s.omega1, omega))
-
-    # tails: expand sin((omega-u)t) and integrate J(u)/(omega-u) against
-    # cos(ut), sin(ut) with the Fourier-weighted rule out to infinity
-    def right(u):
-        return spectral_density(s, u) / (omega - u)
-
-    def left(v):
-        return spectral_density(s, -v) / (omega + v)
-
-    qc_r = adaptive_quadrature(right, hi, np.inf, tol, weight="cos", wvar=t)
-    qs_r = adaptive_quadrature(right, hi, np.inf, tol, weight="sin", wvar=t)
-    qc_l = adaptive_quadrature(left, -lo, np.inf, tol, weight="cos", wvar=t)
-    qs_l = adaptive_quadrature(left, -lo, np.inf, tol, weight="sin", wvar=t)
-    tails = (2.0 * np.sin(omega * t) * (qc_r + qc_l)
-             + 2.0 * np.cos(omega * t) * (qs_l - qs_r))
-    return window + tails
+    # 2 sin(x t)/x with the removable singularity at x = 0
+    window = panel_gauss(lambda x: folded(x) * 2.0 * t * np.sinc(x * t / np.pi),
+                         0.0, R, width)
+    tail = adaptive_quadrature(lambda x: 2.0 * folded(x) / x, R, np.inf, tol,
+                               weight="sin", wvar=t)
+    return window + tail
 
 
 def accumulated_rate(s, omega, t):

@@ -343,6 +343,35 @@ def test_nonfinite_input_or_output_is_one_error_line(tmp_path, capsys, override,
     assert out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("target", [
+    "directory", "missing directory",
+    pytest.param("full device", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full")),
+])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, target):
+    path = {"directory": tmp_path,
+            "missing directory": tmp_path / "missing" / "out.csv",
+            "full device": "/dev/full"}[target]
+    code, out, err = run_cli(["figures", "--id", "1", "--case", "a",
+                              "--set", f"output.path={path}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config: cannot write output file '{path}'")
+    assert err.count("\n") == 1
+
+
+# 10**15 float64 samples are 7 PiB: numpy refuses before allocating anything
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--config", os.devnull, "--set", "evolve.n_output=1000000000000000"],
+    ["figures", "--id", "1", "--case", "a", "--n-points", "1000000000000000"],
+    ["sweep", "--config", os.devnull, "--param", "lambda", "--from", "0.1",
+     "--to", "1", "--steps", "1000000000000000"],
+])
+def test_oversized_grid_is_one_memory_error_line(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: memory: ") and err.count("\n") == 1
+
+
 SCIPY_FREE_SCRIPT = """\
 import sys
 from leakycavity.cli import main

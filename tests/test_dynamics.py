@@ -23,6 +23,12 @@ def test_system_params_validation_and_warning():
     assert sys.omega_minus == 99.5 and sys.omega_plus == 100.5
 
 
+def test_rotating_wave_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="rotating-wave") as record:
+        SystemParams(omega0=1.0, Omega=0.5)
+    assert record[0].filename == __file__
+
+
 def test_initial_state():
     rho = initial_state_atom_excited()
     assert rho[0, 0] == 0.0

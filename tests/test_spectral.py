@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from leakycavity import spectral
 from leakycavity.analysis import reference_case
 from leakycavity.numerics import ToleranceSpec, adaptive_quadrature
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
@@ -121,13 +122,29 @@ def test_oracle_matches_closed_form_on_peak():
 def test_oracle_matches_closed_form_grid():
     for case in ("a", "b"):
         sys, s = reference_case(case)
-        omegas = [s.omega1 - 10 * s.lam, sys.omega_minus - 2 * sys.Omega,
+        # omega = 0 lies far below the peak: omega - x crosses zero frequency
+        omegas = [0.0, s.omega1 - 10 * s.lam, sys.omega_minus - 2 * sys.Omega,
                   s.omega1, sys.omega_plus, s.omega1 + 10 * s.lam]
         for w in omegas:
-            for t in (0.5 / s.lam, 2.0 / s.lam, 20.0 / s.lam):
+            for t in (1e-3, 0.5 / s.lam, 2.0 / s.lam, 20.0 / s.lam, 300.0):
                 diff = abs(rate_quadrature_oracle(s, w, t)
                            - rate_closed_form(s, w, t))
                 assert diff < 1e-6 * s.alpha, (case, w, t, diff)
+
+
+def test_oracle_uses_no_closed_form(monkeypatch):
+    sys, s = reference_case("b")
+    points = [(w, t) for w in (sys.omega_minus, sys.omega_plus)
+              for t in (0.1, 3.0, 40.0)]
+    expected = [rate_closed_form(s, w, t) for w, t in points]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the quadrature oracle called a closed form")
+
+    for name in ("rate_closed_form", "accumulated_rate", "stationary_rate"):
+        monkeypatch.setattr(spectral, name, forbidden)
+    for (w, t), want in zip(points, expected):
+        assert abs(rate_quadrature_oracle(s, w, t) - want) < 1e-6 * s.alpha
 
 
 def test_oracle_generic_spectrum():
