@@ -91,19 +91,22 @@ def _smooth_oscillation(t, P, period):
     return _boxcar_one_period(t1, S1, period)
 
 
-def detect_plateau(t, P, osc_period, slope_tol=0.05, min_duration=None,
-                   floor=0.0):
+_PLATEAU_SLOPE_TOL = 0.05    # relative drift per oscillation period
+_PLATEAU_MIN_PERIODS = 10.0  # shortest plateau that counts, in periods
+
+
+def detect_plateau(t, P, osc_period, floor=0.0):
     """Find the longest interval where the smoothed series drifts slowly.
 
     The series is passed through two cascaded one-period averages to
     strip the Rabi oscillation (including the residual its decaying
     envelope leaves after a single pass), then the relative change per
-    period |S'/S|*osc_period is compared against slope_tol; samples must
-    also sit above ``floor``.
+    period |S'/S|*osc_period is compared against _PLATEAU_SLOPE_TOL;
+    samples must also sit above ``floor``.
     The longest contiguous qualifying interval is reported, detected=True
-    iff it spans at least min_duration (default 10 osc_periods).
+    iff it spans at least _PLATEAU_MIN_PERIODS osc_periods.
 
-    The default slope_tol of 0.05 per period sits between the slow leak
+    The slope tolerance of 0.05 per period sits between the slow leak
     of a trapped population in the reference cases (about 0.03 per period
     for the faster case) and the decay of the single-rate model (about
     0.3 per period), so it separates the two regimes cleanly.
@@ -112,8 +115,7 @@ def detect_plateau(t, P, osc_period, slope_tol=0.05, min_duration=None,
     P = np.asarray(P, dtype=float)
     if t.shape != P.shape or t.ndim != 1:
         raise ValueError("t and P must be 1-D arrays of equal length")
-    if min_duration is None:
-        min_duration = 10.0 * osc_period
+    min_duration = _PLATEAU_MIN_PERIODS * osc_period
     if t.size < 4 or t[-1] - t[0] < 2.0 * osc_period + min_duration:
         return TrappingReport(
             plateau_start=np.nan, plateau_end=np.nan, trapped_value=0.0,
@@ -122,7 +124,7 @@ def detect_plateau(t, P, osc_period, slope_tol=0.05, min_duration=None,
     tc, S = _smooth_oscillation(t, P, osc_period)
     dS = np.gradient(S, tc)
     rel_per_period = np.abs(dS) * osc_period / np.maximum(S, 1e-300)
-    ok = (rel_per_period < slope_tol) & (S > floor)
+    ok = (rel_per_period < _PLATEAU_SLOPE_TOL) & (S > floor)
 
     padded = np.concatenate(([0], ok.astype(int), [0]))
     edges = np.diff(padded)

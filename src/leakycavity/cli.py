@@ -17,14 +17,14 @@ A warning, such as the rotating-wave one, is one 'warning:' stderr line.
 import argparse
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .analysis import asymptotic_rate_ratio, detect_plateau, figure_data
 from .dynamics import (SystemParams, evolve_analytic, evolve_phenomenological,
                        evolve_tcl_ode)
-from .numerics import OdeSolveError, QuadratureError, ToleranceSpec
+from .numerics import OdeSolveError, QuadratureError
 from .spectral import LorentzianSpectrum, rate_closed_form, rate_quadrature_oracle
 
 __all__ = ["RunConfig", "ConfigError", "main", "console_main"]
@@ -46,11 +46,8 @@ class RunConfig:
     t_max: float = 100.0
     n_output: int = 2001
     solver_mode: str = "analytic"
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     kappa: float = None
     rates_mode: str = "closed-form"
-    window_halfwidths: int = 200
     output_path: str = "-"
     precision: int = 12
 
@@ -72,10 +69,6 @@ class RunConfig:
             raise ConfigError(f"unknown solver.mode {self.solver_mode!r}")
         if self.rates_mode not in ("closed-form", "quadrature"):
             raise ConfigError(f"unknown rates.mode {self.rates_mode!r}")
-        if not self.rel_tol > 0.0 or self.abs_tol < 0.0:
-            raise ConfigError("solver tolerances must have rel_tol > 0, abs_tol >= 0")
-        if self.window_halfwidths < 10:
-            raise ConfigError("rates.window_halfwidths must be >= 10")
         if self.solver_mode == "phenomenological":
             if self.kappa is None:
                 raise ConfigError("solver.kappa is required when solver.mode = phenomenological")
@@ -91,10 +84,6 @@ class RunConfig:
         omega1 = self.omega0 - self.Omega if self.omega1 is None else self.omega1
         return LorentzianSpectrum(alpha=self.alpha, lam=self.lam, omega1=omega1)
 
-    def tolerance(self):
-        return ToleranceSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                             max_steps=1_000_000)
-
     def grid(self):
         return np.linspace(0.0, self.t_max, self.n_output)
 
@@ -109,11 +98,8 @@ _KEYMAP = {
     "evolve.t_max": ("t_max", float),
     "evolve.n_output": ("n_output", int),
     "solver.mode": ("solver_mode", str),
-    "solver.rel_tol": ("rel_tol", float),
-    "solver.abs_tol": ("abs_tol", float),
     "solver.kappa": ("kappa", float),
     "rates.mode": ("rates_mode", str),
-    "rates.window_halfwidths": ("window_halfwidths", int),
     "output.path": ("output_path", str),
     "output.precision": ("precision", int),
 }
@@ -205,9 +191,8 @@ def cmd_rates(args, cfg):
             rate_closed_form(s, sys_params.omega_plus, ts)]
     if cfg.rates_mode == "quadrature":
         cols += ["gamma_minus_oracle", "gamma_plus_oracle"]
-        K = cfg.window_halfwidths
-        data.append([rate_quadrature_oracle(s, sys_params.omega_minus, t, K) for t in ts])
-        data.append([rate_quadrature_oracle(s, sys_params.omega_plus, t, K) for t in ts])
+        data.append([rate_quadrature_oracle(s, sys_params.omega_minus, t) for t in ts])
+        data.append([rate_quadrature_oracle(s, sys_params.omega_plus, t) for t in ts])
     data = np.column_stack(data)
     _require_finite(data, "rates table")
     write_csv(cols, data, cfg.output_path, cfg.precision)
@@ -220,11 +205,9 @@ def cmd_evolve(args, cfg):
     if cfg.solver_mode == "analytic":
         traj = evolve_analytic(sys_params, cfg.spectrum(), ts)
     elif cfg.solver_mode == "tcl-ode":
-        traj = evolve_tcl_ode(sys_params, cfg.spectrum(), ts,
-                              rate_mode=cfg.rates_mode, tol=cfg.tolerance())
+        traj = evolve_tcl_ode(sys_params, cfg.spectrum(), ts, rate_mode=cfg.rates_mode)
     else:
-        traj = evolve_phenomenological(sys_params, cfg.kappa, ts,
-                                       tol=cfg.tolerance())
+        traj = evolve_phenomenological(sys_params, cfg.kappa, ts)
     cols, data = _trajectory_table(traj)
     _require_finite(data, "evolve table")
     write_csv(cols, data, cfg.output_path, cfg.precision)
@@ -247,8 +230,8 @@ def cmd_sweep(args, cfg):
     period = np.pi / sys_params.Omega
     rows = []
     for lam in np.linspace(args.lo, args.hi, args.steps):
-        s = LorentzianSpectrum(alpha=cfg.alpha, lam=float(lam),
-                               omega1=sys_params.omega_minus)
+        # asymptotic_rate_ratio rejects an omega1 off the lower channel
+        s = replace(cfg.spectrum(), lam=float(lam))
         ratio = asymptotic_rate_ratio(s, sys_params)
         traj = evolve_analytic(sys_params, s, ts)
         # detect_plateau reads a NaN series as "no plateau", so check first

@@ -230,10 +230,11 @@ def _generator(sys):
     return gens
 
 
-def evolve_master_equation(sys, rates, t_grid, tol=None):
+def evolve_master_equation(sys, rates, t_grid):
     """Propagate the master equation as a 9-real-dimensional linear ODE.
 
-    ``rates(t) -> (gamma_minus, gamma_plus)`` weights the channel generators.
+    ``rates(t) -> (gamma_minus, gamma_plus)`` weights the channel generators;
+    RK45 runs at the fixed tolerance _ODE_TOL (relative 1e-10, absolute 1e-12).
     """
     ts = _as_time_grid(t_grid)
     G0, G_m, G_p = _generator(sys)
@@ -242,15 +243,14 @@ def evolve_master_equation(sys, rates, t_grid, tol=None):
         g_m, g_p = rates(t)
         return (G0 + g_m * G_m + g_p * G_p) @ y
 
-    y = ode_solve(rhs, _pack(initial_state_atom_excited()), ts,
-                  _ODE_TOL if tol is None else tol)
+    y = ode_solve(rhs, _pack(initial_state_atom_excited()), ts, _ODE_TOL)
     states = _unpack(y)
     return Trajectory(times=ts, states=states,
                       min_eigenvalues=np.linalg.eigvalsh(states)[:, 0],
                       **populations(states))
 
 
-def evolve_tcl_ode(sys, s, t_grid, rate_mode="closed-form", tol=None):
+def evolve_tcl_ode(sys, s, t_grid, rate_mode="closed-form"):
     """The master equation with the rates of spectrum s, propagated as an ODE.
 
     rate_mode selects where gamma_-+(t) comes from: 'closed-form' (fast)
@@ -264,10 +264,10 @@ def evolve_tcl_ode(sys, s, t_grid, rate_mode="closed-form", tol=None):
             f"unknown rate_mode {rate_mode!r}, expected 'closed-form' or 'quadrature'")
     return evolve_master_equation(
         sys, lambda t: (rate(s, sys.omega_minus, t), rate(s, sys.omega_plus, t)),
-        t_grid, tol)
+        t_grid)
 
 
-def evolve_phenomenological(sys, kappa, t_grid, tol=None):
+def evolve_phenomenological(sys, kappa, t_grid):
     """Same dissipator with one constant rate kappa in both channels.
 
     This is the textbook single-rate cavity-loss model.  Equal rates keep
@@ -277,4 +277,4 @@ def evolve_phenomenological(sys, kappa, t_grid, tol=None):
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    return evolve_master_equation(sys, lambda t: (kappa, kappa), t_grid, tol)
+    return evolve_master_equation(sys, lambda t: (kappa, kappa), t_grid)

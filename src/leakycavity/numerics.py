@@ -92,34 +92,46 @@ def adaptive_quadrature(f, a, b, tol=None, weight=None, wvar=None):
     return estimate
 
 
+_PANEL_BLOCK = 4096     # panels per vectorized call of f: caps each node array
+_PANEL_BUDGET = 2**20   # panels per integral; a finer split raises instead
+
+
 @lru_cache(maxsize=None)
-def _gauss_rule(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def _gauss_rule():
+    return np.polynomial.legendre.leggauss(16)
 
 
-def panel_gauss(f, a, b, max_width, order=16):
-    """Composite Gauss-Legendre quadrature with a cap on panel width.
+def panel_gauss(f, a, b, max_width):
+    """Composite 16-point Gauss-Legendre quadrature with a cap on panel width.
 
     ``f`` must accept an array of abscissae and return the values
-    elementwise (one vectorized call evaluates every node).  [a, b] is
-    split into uniform panels no wider than ``max_width``.  Exact to
-    rounding for polynomials of degree <= 2*order-1 on a single panel;
-    for smooth oscillatory integrands choose max_width below half the
-    oscillation period.
+    elementwise; it is called on blocks of _PANEL_BLOCK panels, so memory
+    stays bounded however fine the split.  [a, b] is split into uniform
+    panels no wider than ``max_width``; more than _PANEL_BUDGET panels
+    raise QuadratureError before f is called.  Exact to rounding for
+    polynomials of degree <= 31 on a single panel; for smooth oscillatory
+    integrands choose max_width below half the oscillation period.
     """
     if not b > a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
     if not max_width > 0.0:
         raise ValueError(f"max_width must be positive, got {max_width}")
-    x, w = _gauss_rule(order)
-    n = max(1, int(np.ceil((b - a) / max_width)))
+    n = np.ceil((b - a) / max_width)
+    if not n <= _PANEL_BUDGET:
+        raise QuadratureError(
+            f"panel quadrature needs {n:.3g} panels, above the budget of {_PANEL_BUDGET}",
+            estimate=np.nan, error_bound=np.inf)
+    n = max(1, int(n))
+    x, w = _gauss_rule()
     bounds = np.linspace(a, b, n + 1)
     mid = 0.5 * (bounds[1:] + bounds[:-1])
     half = 0.5 * (bounds[1:] - bounds[:-1])
-    nodes = (mid[:, None] + half[:, None] * x).ravel()
-    weights = (half[:, None] * w).ravel()
-    return float(np.dot(np.asarray(f(nodes), dtype=float), weights))
+    total = 0.0
+    for i in range(0, n, _PANEL_BLOCK):
+        m, h = mid[i:i + _PANEL_BLOCK, None], half[i:i + _PANEL_BLOCK, None]
+        nodes, weights = (m + h * x).ravel(), (h * w).ravel()
+        total += float(np.dot(np.asarray(f(nodes), dtype=float), weights))
+    return total
 
 
 def cumulative_integral(t, values):
@@ -142,7 +154,7 @@ def cumulative_integral(t, values):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def ode_solve(deriv, state0, t_grid, tol=None, max_step=None, first_step=None):
+def ode_solve(deriv, state0, t_grid, tol=None):
     """Propagate state0 along t_grid with an adaptive RK45 pair.
 
     ``deriv(t, y) -> dy/dt`` may be real or complex valued; local error
@@ -167,9 +179,7 @@ def ode_solve(deriv, state0, t_grid, tol=None, max_step=None, first_step=None):
     from scipy.integrate import RK45
 
     solver = RK45(deriv, ts[0], y0, t_bound=ts[-1],
-                  rtol=tol.rel_tol, atol=tol.abs_tol,
-                  max_step=np.inf if max_step is None else max_step,
-                  first_step=first_step)
+                  rtol=tol.rel_tol, atol=tol.abs_tol)
     idx = 1
     steps = 0
     while idx < ts.size:

@@ -90,7 +90,10 @@ def stationary_rate(s, omega):
     return 2.0 * np.pi * spectral_density(s, omega)
 
 
-def rate_quadrature_oracle(s, omega, t, window_halfwidths=200, tol=None):
+_WINDOW_HALFWIDTHS = 200  # K in the oracle docstring
+
+
+def rate_quadrature_oracle(s, omega, t, tol=None):
     """gamma(omega, t) by direct quadrature of the spectral-density integral.
 
     Performs the time integral analytically under the omega' integral and
@@ -100,22 +103,22 @@ def rate_quadrature_oracle(s, omega, t, window_halfwidths=200, tol=None):
         gamma(omega, t) = int_0^inf [J(omega+x) + J(omega-x)] * 2 sin(x t)/x dx.
 
     The x integral is evaluated numerically: composite Gauss-Legendre on
-    the window [0, R], R = |omega1 - omega| + K half-widths with
-    K = window_halfwidths (panels kept below half a half-width and below
-    half an oscillation period of the kernel), plus one Fourier-weighted
-    quadrature of the smooth tail integrand 2 [J(omega+x) + J(omega-x)]/x
-    against sin(x t) on [R, inf).  No use is made of the closed-form
-    result; this is a test oracle, not a fast path.
+    the window [0, R], R = |omega1 - omega| + K half-widths with K = 200
+    (panels kept below half a half-width and below half an oscillation
+    period of the kernel), plus one Fourier-weighted quadrature of the
+    smooth tail integrand 2 [J(omega+x) + J(omega-x)]/x against sin(x t)
+    on [R, inf).  No use is made of the closed-form result; this is a test
+    oracle, not a fast path.  The window's panel count grows like t, and
+    past panel_gauss's budget (t above about 2.4e4 at lam = 1/3) the
+    oracle raises QuadratureError.
     """
     _check_nonnegative_time(t)
     t = float(t)
-    if window_halfwidths < 10:
-        raise ValueError(f"window_halfwidths must be >= 10, got {window_halfwidths}")
     if t == 0.0:
         return 0.0
     if tol is None:
         tol = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-12 * s.alpha, max_steps=200)
-    R = abs(s.omega1 - omega) + float(window_halfwidths) * s.lam
+    R = abs(s.omega1 - omega) + _WINDOW_HALFWIDTHS * s.lam
 
     def folded(x):
         return spectral_density(s, omega + x) + spectral_density(s, omega - x)

@@ -17,13 +17,11 @@ from leakycavity.dynamics import (SystemParams, evolve_analytic,
                                   evolve_master_equation,
                                   evolve_phenomenological, evolve_tcl_ode,
                                   populations, rho_analytic)
-from leakycavity.numerics import ToleranceSpec
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
                                   rate_closed_form, rate_quadrature_oracle,
                                   stationary_rate)
 from leakycavity import cli
 
-ODE_TOL = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-12, max_steps=1_000_000)
 RABI_PERIOD = np.pi / 0.5  # canonical units, 2*Omega = 1
 
 
@@ -66,7 +64,7 @@ def test_criterion_03_oracle_equivalence():
                       s.omega1, s.omega1 + 2.0 * sys.Omega,
                       s.omega1 + 10.0 * s.lam)
             times = np.linspace(0.5, 20.0, 10) / s.lam
-            worst = max(abs(rate_quadrature_oracle(s, w, t, window_halfwidths=200)
+            worst = max(abs(rate_quadrature_oracle(s, w, t)
                             - float(rate_closed_form(s, w, t)))
                         for w in omegas for t in times)
             assert worst <= 1e-6 * s.alpha
@@ -77,7 +75,7 @@ def test_criterion_04_ode_matches_exact_solution():
         ts = np.linspace(0.0, 50.0, 501)
         for case in ("a", "b"):
             sys, s = reference_case(case)
-            ode = evolve_tcl_ode(sys, s, ts, tol=ODE_TOL)
+            ode = evolve_tcl_ode(sys, s, ts)
             exact = evolve_analytic(sys, s, ts)
             assert np.max(np.abs(ode.states - exact.states)) <= 1e-8
 
@@ -119,8 +117,7 @@ def test_criterion_08_exact_trapping_limit():
         sys, s = reference_case("a")
         ts = np.linspace(0.0, 2000.0, 401)
         traj = evolve_master_equation(
-            sys, lambda t: (rate_closed_form(s, sys.omega_minus, t), 0.0), ts,
-            tol=ODE_TOL)
+            sys, lambda t: (rate_closed_form(s, sys.omega_minus, t), 0.0), ts)
         assert abs(traj.P_atom_e[-1] - 0.25) <= 1e-6
         assert abs(traj.P_0g[-1] - 0.5) <= 1e-6
         # closed-form cross-check of the same limit
@@ -146,7 +143,7 @@ def test_criterion_10_single_rate_model_cannot_trap():
     with criterion(10, "single-rate cavity loss keeps the channels equal and shows no plateau"):
         sys, s = reference_case("a")
         ts = np.linspace(0.0, 150.0, 3001)
-        traj = evolve_phenomenological(sys, kappa=s.alpha, t_grid=ts, tol=ODE_TOL)
+        traj = evolve_phenomenological(sys, kappa=s.alpha, t_grid=ts)
         P_minus = traj.P_minus
         P_plus = traj.P_plus
         assert np.max(np.abs(P_plus / P_minus - 1.0)) <= 1e-10
@@ -168,7 +165,7 @@ def test_criterion_11_omega0_invariance():
                 sys = SystemParams(omega0=omega0, Omega=0.5)
                 s = LorentzianSpectrum(alpha=s0.alpha, lam=s0.lam,
                                        omega1=sys.omega_minus)
-                ode = evolve_tcl_ode(sys, s, ts, tol=ODE_TOL)
+                ode = evolve_tcl_ode(sys, s, ts)
                 exact = evolve_analytic(sys, s, ts)
                 assert np.max(np.abs(ode.states - exact.states)) <= 1e-8
                 ode_pops[omega0] = np.column_stack([getattr(ode, n) for n in names])

@@ -1,5 +1,6 @@
 """Config parsing, subcommand output, and exit-code contract of the CLI."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -95,6 +96,26 @@ def test_duplicate_config_key_rejected(tmp_path, capsys):
     # --set may still override a key the file sets
     assert load_config(write_config(tmp_path, CASE_B, "ok.cfg"),
                        ["reservoir.alpha=0.2"]).alpha == 0.2
+
+
+def test_keymap_and_runconfig_fields_map_one_to_one():
+    mapped = [field for field, _ in cli._KEYMAP.values()]
+    assert sorted(mapped) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+@pytest.mark.parametrize("source", ["--set", "config file"])
+@pytest.mark.parametrize("key, value", [
+    ("solver.rel_tol", "1e-6"), ("solver.abs_tol", "1e-8"),
+    ("rates.window_halfwidths", "200"),
+])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, source, key, value):
+    if source == "--set":
+        argv = ["rates", "--config", os.devnull, "--set", f"{key}={value}"]
+    else:
+        argv = ["rates", "--config", write_config(tmp_path, f"{key} = {value}\n")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: config: unknown config key '{key}'\n"
 
 
 def test_kappa_tied_to_phenomenological_mode():
@@ -257,6 +278,21 @@ def test_sweep_bad_range_is_config_error(tmp_path, capsys):
     assert err.startswith("error: config:") and err.count("\n") == 1
 
 
+def test_sweep_rejects_an_omega1_it_would_ignore(tmp_path, capsys):
+    path = write_config(tmp_path, CASE_B)
+    argv = ["sweep", "--config", path, "--param", "lambda", "--from", "0.2",
+            "--to", "1.0", "--steps", "3", "--set", "evolve.t_max=100.0",
+            "--set", "evolve.n_output=1001"]
+    code, out, err = run_cli(argv + ["--set", "reservoir.omega1=80"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: config:") and "omega1" in err
+    assert err.count("\n") == 1
+    # the lower-channel peak the sweep uses, set explicitly, changes nothing
+    default = run_cli(argv, capsys)
+    assert default[0] == 0
+    assert run_cli(argv + ["--set", "reservoir.omega1=99.5"], capsys) == default
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -370,6 +406,15 @@ def test_oversized_grid_is_one_memory_error_line(capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: memory: ") and err.count("\n") == 1
+
+
+def test_oracle_past_panel_budget_is_one_numerical_error_line(capsys):
+    code, out, err = run_cli(["rates", "--config", os.devnull,
+                              "--set", "rates.mode=quadrature",
+                              "--set", "evolve.n_output=3",
+                              "--set", "evolve.t_max=1e300"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: numerical: ") and err.count("\n") == 1
 
 
 SCIPY_FREE_SCRIPT = """\

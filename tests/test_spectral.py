@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from leakycavity import spectral
 from leakycavity.analysis import reference_case
-from leakycavity.numerics import ToleranceSpec, adaptive_quadrature
+from leakycavity.numerics import QuadratureError, ToleranceSpec, adaptive_quadrature
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
                                   rate_closed_form, rate_quadrature_oracle,
                                   spectral_density, stationary_rate)
@@ -108,8 +110,6 @@ def test_stationary_rate_values():
 
 def test_oracle_trivial_time_and_preconditions():
     assert rate_quadrature_oracle(GENERIC, GENERIC.omega1, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        rate_quadrature_oracle(GENERIC, GENERIC.omega1, 1.0, window_halfwidths=5)
 
 
 def test_oracle_matches_closed_form_on_peak():
@@ -202,8 +202,20 @@ def test_accumulated_rate_monotone_where_rate_nonnegative():
 
 def test_oracle_quadrature_failure_surfaces():
     # starve the tail quadrature so non-convergence propagates as an error
-    from leakycavity.numerics import QuadratureError
     s = GENERIC
     tol = ToleranceSpec(rel_tol=1e-14, abs_tol=1e-300, max_steps=1)
     with pytest.raises(QuadratureError):
         rate_quadrature_oracle(s, s.omega1 + 0.3, 2.0, tol=tol)
+
+
+def test_oracle_at_huge_time_raises_without_allocating():
+    # at t = 1e12 the window would need ~4e13 panels of 16 nodes each
+    _, s = reference_case("a")
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="budget"):
+            rate_quadrature_oracle(s, s.omega1, 1e12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
