@@ -1,5 +1,5 @@
-"""Quantitative checks on trajectories: trapping plateaus, short-time scaling,
-stationary rate ratios, and the reference tables behind the standard figures.
+"""Quantitative checks on trajectories: trapping plateaus, stationary rate
+ratios, and the reference tables behind the standard figures.
 
 The canonical configuration used throughout sets 2*Omega = 1, alpha = 0.2*Omega
 and peaks the reservoir on the lower dressed channel, omega1 = omega0 - Omega.
@@ -17,10 +17,8 @@ from .spectral import LorentzianSpectrum, rate_closed_form, stationary_rate
 
 __all__ = [
     "TrappingReport",
-    "FitResult",
     "FigureTable",
     "detect_plateau",
-    "short_time_exponent",
     "asymptotic_rate_ratio",
     "reference_case",
     "figure_data",
@@ -32,9 +30,11 @@ class TrappingReport:
     """Longest slow-drift interval of a population series.
 
     ``detected`` is True only when that interval lasts at least the
-    requested minimum duration; ``trapped_value`` is the mean of the
+    minimum duration; ``trapped_value`` is then the mean of the
     oscillation-smoothed series over the interval (a trapped population
     still leaks slowly, so the window mean is the honest number).
+    Otherwise the start and end are NaN, ``trapped_value`` is 0 and
+    ``note`` says why nothing qualified.
     """
 
     plateau_start: float
@@ -43,15 +43,6 @@ class TrappingReport:
     detected: bool
     slope_at_plateau: float
     note: str = ""
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Power-law fit of a population series: P ~ t**exponent."""
-
-    exponent: float
-    r_squared: float
-    fit_window: tuple
 
 
 @dataclass(frozen=True)
@@ -95,6 +86,12 @@ _PLATEAU_SLOPE_TOL = 0.05    # relative drift per oscillation period
 _PLATEAU_MIN_PERIODS = 10.0  # shortest plateau that counts, in periods
 
 
+def _no_plateau(note):
+    return TrappingReport(plateau_start=np.nan, plateau_end=np.nan,
+                          trapped_value=0.0, detected=False,
+                          slope_at_plateau=np.nan, note=note)
+
+
 def detect_plateau(t, P, osc_period, floor=0.0):
     """Find the longest interval where the smoothed series drifts slowly.
 
@@ -103,8 +100,8 @@ def detect_plateau(t, P, osc_period, floor=0.0):
     envelope leaves after a single pass), then the relative change per
     period |S'/S|*osc_period is compared against _PLATEAU_SLOPE_TOL;
     samples must also sit above ``floor``.
-    The longest contiguous qualifying interval is reported, detected=True
-    iff it spans at least _PLATEAU_MIN_PERIODS osc_periods.
+    The longest contiguous qualifying interval is reported if it spans
+    at least _PLATEAU_MIN_PERIODS osc_periods; a shorter one is no plateau.
 
     The slope tolerance of 0.05 per period sits between the slow leak
     of a trapped population in the reference cases (about 0.03 per period
@@ -117,10 +114,8 @@ def detect_plateau(t, P, osc_period, floor=0.0):
         raise ValueError("t and P must be 1-D arrays of equal length")
     min_duration = _PLATEAU_MIN_PERIODS * osc_period
     if t.size < 4 or t[-1] - t[0] < 2.0 * osc_period + min_duration:
-        return TrappingReport(
-            plateau_start=np.nan, plateau_end=np.nan, trapped_value=0.0,
-            detected=False, slope_at_plateau=np.nan,
-            note="series too short to cover the smoothing window plus min_duration")
+        return _no_plateau("series too short to cover the smoothing window "
+                           "plus the minimum duration")
     tc, S = _smooth_oscillation(t, P, osc_period)
     dS = np.gradient(S, tc)
     rel_per_period = np.abs(dS) * osc_period / np.maximum(S, 1e-300)
@@ -131,49 +126,17 @@ def detect_plateau(t, P, osc_period, floor=0.0):
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
     if starts.size == 0:
-        return TrappingReport(
-            plateau_start=np.nan, plateau_end=np.nan, trapped_value=0.0,
-            detected=False, slope_at_plateau=np.nan,
-            note="no sample satisfies the slope and floor criteria")
+        return _no_plateau("no sample satisfies the slope and floor criteria")
     k = int(np.argmax(tc[ends] - tc[starts]))
     i0, i1 = int(starts[k]), int(ends[k])
     duration = tc[i1] - tc[i0]
-    if i1 > i0:
-        trapped = float(np.trapezoid(S[i0:i1 + 1], tc[i0:i1 + 1]) / duration)
-        slope = float((S[i1] - S[i0]) / duration)
-    else:
-        trapped = float(S[i0])
-        slope = float(dS[i0])
+    if not duration >= min_duration:
+        return _no_plateau(f"longest slow interval lasts {duration:.6g}, "
+                           f"below the minimum of {min_duration:.6g}")
     return TrappingReport(
         plateau_start=float(tc[i0]), plateau_end=float(tc[i1]),
-        trapped_value=trapped, detected=bool(duration >= min_duration),
-        slope_at_plateau=slope, note="")
-
-
-def short_time_exponent(t, P):
-    """Least-squares power-law exponent of P(t) on a log-log scale.
-
-    Caller is responsible for restricting the window to early times
-    (t well below the reservoir memory time 1/lam); here we only require
-    positive times and strictly positive populations.
-    """
-    t = np.asarray(t, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if t.shape != P.shape or t.ndim != 1 or t.size < 3:
-        raise ValueError("need at least 3 (t, P) samples")
-    if np.any(t <= 0.0):
-        raise ValueError("fit window must have t > 0")
-    if np.any(P <= 0.0):
-        raise ValueError("nonpositive population inside the fit window")
-    x = np.log(t)
-    y = np.log(P)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(np.sum(resid**2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return FitResult(exponent=float(slope), r_squared=float(r2),
-                     fit_window=(float(t[0]), float(t[-1])))
+        trapped_value=float(np.trapezoid(S[i0:i1 + 1], tc[i0:i1 + 1]) / duration),
+        detected=True, slope_at_plateau=float((S[i1] - S[i0]) / duration))
 
 
 def asymptotic_rate_ratio(s, sys):

@@ -9,12 +9,13 @@ stdout).  Runs are fully deterministic: the same config yields
 byte-identical output.
 
 Exit codes: 0 success, 2 malformed config or usage (including an output
-file that cannot be written), 3 numerical failure (including a
+file or stdout pipe that cannot be written), 3 numerical failure (including a
 table that would hold NaN or inf) or out of memory, 64 unknown subcommand.
 A warning, such as the rotating-wave one, is one 'warning:' stderr line.
 """
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -156,7 +157,21 @@ def write_csv(columns, values, path, precision):
     lines = [",".join(columns)] + [row_fmt % tuple(row) for row in values.tolist()]
     text = "\n".join(lines) + "\n"
     if path == "-":
-        sys.stdout.write(text)
+        try:
+            if hasattr(sys.stdout, "buffer"):
+                data = memoryview(text.encode())
+                # an unbuffered stdout takes a short write when the pipe's
+                # reader has gone; the next write raises
+                while data:
+                    data = data[sys.stdout.buffer.write(data):]
+            else:  # a text-only stream, such as io.StringIO
+                sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # what is still buffered would fail again, with a traceback, in the
+            # interpreter's final flush: send it to /dev/null instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write output to stdout: {exc}") from None
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:

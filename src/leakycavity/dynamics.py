@@ -86,10 +86,9 @@ class Trajectory:
 
     One array per quantity, each aligned with ``times``: the dressed
     populations and coherence, the bare-basis populations and the
-    reduced-atom populations (see ``populations``).  ``min_eigenvalues``
-    monitors transient positivity: within solver tolerance it may dip
-    below zero while a rate is negative (a known second-order feature,
-    reported rather than rejected).
+    reduced-atom populations (see ``populations``).  While a rate is
+    negative an ODE state may lose positivity within solver tolerance (a
+    known second-order feature); np.linalg.eigvalsh(states) shows it.
     """
 
     times: np.ndarray
@@ -103,7 +102,6 @@ class Trajectory:
     P_0e: np.ndarray
     P_atom_g: np.ndarray
     P_atom_e: np.ndarray
-    min_eigenvalues: np.ndarray
 
 
 def hamiltonian(sys):
@@ -183,22 +181,12 @@ def _as_time_grid(t_grid):
 
 
 def evolve_analytic(sys, s, t_grid):
-    """Trajectory from the closed-form solution, rates accumulated analytically.
-
-    The exact state is |E0><E0| P_E0 plus a 2x2 dressed block whose
-    coherence saturates |coh|^2 = P_- P_+, so its spectrum is known in
-    closed form and the minimum eigenvalue needs no diagonalisation.
-    """
+    """Trajectory from the closed-form solution, rates accumulated analytically."""
     ts = _as_time_grid(t_grid)
     I_m = accumulated_rate(s, sys.omega_minus, ts)
     I_p = accumulated_rate(s, sys.omega_plus, ts)
     states = rho_analytic(sys, I_m, I_p, ts)
-    pops = populations(states)
-    P_m, P_p = pops["P_minus"], pops["P_plus"]
-    block_min = 0.5 * (P_m + P_p
-                       - np.sqrt((P_m - P_p) ** 2 + 4.0 * np.abs(pops["coh"]) ** 2))
-    return Trajectory(times=ts, states=states,
-                      min_eigenvalues=np.minimum(pops["P_E0"], block_min), **pops)
+    return Trajectory(times=ts, states=states, **populations(states))
 
 
 # Hermitian 3x3 states (over leading axes) as real 9-vectors: the diagonal,
@@ -245,9 +233,7 @@ def evolve_master_equation(sys, rates, t_grid):
 
     y = ode_solve(rhs, _pack(initial_state_atom_excited()), ts, _ODE_TOL)
     states = _unpack(y)
-    return Trajectory(times=ts, states=states,
-                      min_eigenvalues=np.linalg.eigvalsh(states)[:, 0],
-                      **populations(states))
+    return Trajectory(times=ts, states=states, **populations(states))
 
 
 def evolve_tcl_ode(sys, s, t_grid, rate_mode="closed-form"):

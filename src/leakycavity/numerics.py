@@ -28,17 +28,9 @@ __all__ = [
 class ToleranceSpec:
     """Error-control request: relative, absolute, and a step/subdivision budget."""
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = 10_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.abs_tol < 0.0:
-            raise ValueError(f"abs_tol must be nonnegative, got {self.abs_tol}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+    rel_tol: float
+    abs_tol: float
+    max_steps: int
 
 
 class QuadratureError(RuntimeError):
@@ -58,7 +50,7 @@ class OdeSolveError(RuntimeError):
         self.last_t = last_t
 
 
-def adaptive_quadrature(f, a, b, tol=None, weight=None, wvar=None):
+def adaptive_quadrature(f, a, b, tol, weight=None, wvar=None):
     """Integrate f over [a, b] to the requested tolerance.
 
     Wraps QUADPACK: plain adaptive Gauss-Kronrod on finite intervals,
@@ -68,8 +60,6 @@ def adaptive_quadrature(f, a, b, tol=None, weight=None, wvar=None):
     below max(abs_tol, rel_tol*|result|) within tol.max_steps
     subdivisions; the exception carries the best estimate.
     """
-    if tol is None:
-        tol = ToleranceSpec()
     if a > b:
         raise ValueError(f"integration bounds out of order: a={a} > b={b}")
     if a == b:
@@ -154,7 +144,7 @@ def cumulative_integral(t, values):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def ode_solve(deriv, state0, t_grid, tol=None):
+def ode_solve(deriv, state0, t_grid, tol):
     """Propagate state0 along t_grid with an adaptive RK45 pair.
 
     ``deriv(t, y) -> dy/dt`` may be real or complex valued; local error
@@ -164,8 +154,6 @@ def ode_solve(deriv, state0, t_grid, tol=None):
     Raises OdeSolveError, carrying the last good time, on step failure
     or when tol.max_steps is exhausted.
     """
-    if tol is None:
-        tol = ToleranceSpec()
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
         raise ValueError("t_grid must be a nonempty 1-D array")

@@ -1,6 +1,8 @@
 """Config parsing, subcommand output, and exit-code contract of the CLI."""
 
+import contextlib
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -160,6 +162,19 @@ def test_evolve_case_b_final_ground_population(tmp_path, capsys):
     assert np.array_equal(rows[:, 8], rows[:, 10])  # P_0e is P_atom_e
 
 
+def test_evolve_phenomenological_channels_decay_at_kappa(capsys):
+    kappa = 0.1
+    code, out, err = run_cli(
+        ["evolve", "--config", os.devnull, "--set", "solver.mode=phenomenological",
+         "--set", f"solver.kappa={kappa}", "--set", "evolve.t_max=50",
+         "--set", "evolve.n_output=501"], capsys)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    want = 0.5 * np.exp(-0.5 * kappa * rows[:, 0])
+    for name in ("P_minus", "P_plus"):
+        assert np.max(np.abs(rows[:, header.index(name)] - want)) < 1e-8
+
+
 # ---------------------------------------------------------------- rates
 
 
@@ -221,6 +236,12 @@ def test_figures_deterministic_output_files(tmp_path, capsys):
     first, second = (open(p, "rb").read() for p in paths)
     assert first == second
     assert first.startswith(b"t,P_0g\n")
+    # stdout carries the same bytes, also when it is a text-only stream
+    assert run_cli(["figures", "--id", "2", "--case", "b"], capsys)[1] == first.decode()
+    text_only = io.StringIO()
+    with contextlib.redirect_stdout(text_only):
+        assert cli.main(["figures", "--id", "2", "--case", "b"]) == 0
+    assert text_only.getvalue() == first.decode()
 
 
 def _write_csv_per_value(columns, values, precision):
@@ -267,6 +288,21 @@ def test_sweep_lambda_table(tmp_path, capsys):
     # stationary ratio lam^2 / (4 Omega^2 + lam^2) with 2 Omega = 1
     expected = lams**2 / (1.0 + lams**2)
     assert np.max(np.abs(rows[:, 1] - expected)) < 1e-12
+
+
+def test_sweep_reports_no_plateau_shorter_than_ten_periods(tmp_path, capsys):
+    # at t_max = 80 every lambda here has a slow interval of 17 to 38 time
+    # units, short of the 10 Rabi periods (62.8) a plateau needs
+    path = write_config(tmp_path, "reservoir.alpha = 0.1\nevolve.t_max = 80.0\n"
+                                  "evolve.n_output = 1601\n")
+    code, out, err = run_cli(
+        ["sweep", "--config", path, "--param", "lambda",
+         "--from", "0.0124", "--to", "0.3", "--steps", "4"], capsys)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert rows.shape == (4, 5)
+    assert np.all(rows[:, 2] == 0.0)
+    assert np.all(np.isnan(rows[:, 3:]))
 
 
 def test_sweep_bad_range_is_config_error(tmp_path, capsys):
@@ -379,6 +415,21 @@ def test_nonfinite_input_or_output_is_one_error_line(tmp_path, capsys, override,
     assert out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("settings, message", [
+    (["reservoir.omega1=0"], "omega1 must be positive, got 0.0"),
+    (["output.precision=0"], "output.precision must be >= 1, got 0"),
+    (["solver.mode=phenomenological", "solver.kappa=-0.1"],
+     "solver.kappa must be nonnegative, got -0.1"),
+])
+def test_out_of_range_value_is_one_config_error_line(capsys, settings, message):
+    argv = ["evolve", "--config", os.devnull]
+    for item in settings:
+        argv += ["--set", item]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: config: {message}\n"
+
+
 @pytest.mark.parametrize("target", [
     "directory", "missing directory",
     pytest.param("full device", marks=pytest.mark.skipif(
@@ -434,16 +485,49 @@ assert "scipy" in sys.modules
 """
 
 
-def test_analytic_commands_never_import_scipy(tmp_path):
+def _child_env():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_analytic_commands_never_import_scipy(tmp_path):
     cfg = write_config(tmp_path, CASE_B)
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path), cfg],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     for name in ("fig.csv", "sweep.csv", "ode.csv"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+# The reader either takes 10 bytes of the ~126 kB figure-3 table, more than a
+# pipe buffer holds, and leaves, or is gone before a 50-row table is written,
+# which a buffered stdout would otherwise still hold at interpreter exit.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, read_first", [
+    (["figures", "--id", "3", "--case", "b"], True),
+    (["figures", "--id", "3", "--case", "b", "--n-points", "50"], False),
+], ids=["reader-leaves", "reader-gone"])
+def test_closed_stdout_is_one_config_error_line(argv, read_first, unbuffered):
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    if not read_first:
+        os.close(r)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from leakycavity.cli import console_main; console_main()",
+         *argv], stdout=w, stderr=subprocess.PIPE, env=env)
+    os.close(w)
+    if read_first:
+        with open(r, "rb", buffering=0) as reader:
+            assert reader.read(10)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode() == ("error: config: cannot write output to stdout: "
+                            "[Errno 32] Broken pipe\n")
