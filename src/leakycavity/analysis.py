@@ -17,7 +17,6 @@ from .spectral import LorentzianSpectrum, rate_closed_form, stationary_rate
 
 __all__ = [
     "TrappingReport",
-    "FigureTable",
     "detect_plateau",
     "asymptotic_rate_ratio",
     "reference_case",
@@ -43,14 +42,6 @@ class TrappingReport:
     detected: bool
     slope_at_plateau: float
     note: str = ""
-
-
-@dataclass(frozen=True)
-class FigureTable:
-    """Columns of one reference figure as a plain array, ready for CSV."""
-
-    columns: tuple
-    values: np.ndarray
 
 
 def _boxcar_one_period(t, P, period):
@@ -177,6 +168,7 @@ _FIGURE_DEFAULTS = {1: (20.0, 801), 2: (100.0, 2001), 3: (300.0, 6001)}
 def figure_data(figure_id, case, t_max=None, n_points=None):
     """Reference tables: 1 = both channel rates, 2 = P_0g, 3 = P_atom_g.
 
+    Returns ``(columns, values)``, values of shape (n_points, len(columns)).
     Times in units of 1/(2 Omega), rates in units of 2 Omega (numerically
     direct since the canonical configuration sets 2 Omega = 1).  Output is
     deterministic for fixed arguments.
@@ -193,11 +185,8 @@ def figure_data(figure_id, case, t_max=None, n_points=None):
     if figure_id == 1:
         gm = rate_closed_form(s, sys.omega_minus, t)
         gp = rate_closed_form(s, sys.omega_plus, t)
-        return FigureTable(columns=("t", "gamma_minus", "gamma_plus"),
-                           values=np.column_stack([t, gm, gp]))
+        return ("t", "gamma_minus", "gamma_plus"), np.column_stack([t, gm, gp])
     traj = evolve_analytic(sys, s, t)
     if figure_id == 2:
-        return FigureTable(columns=("t", "P_0g"),
-                           values=np.column_stack([t, traj.P_0g]))
-    return FigureTable(columns=("t", "P_atom_g"),
-                       values=np.column_stack([t, traj.P_atom_g]))
+        return ("t", "P_0g"), np.column_stack([t, traj.P_0g])
+    return ("t", "P_atom_g"), np.column_stack([t, traj.P_atom_g])

@@ -210,8 +210,7 @@ def cmd_rates(args, cfg):
         data.append([rate_quadrature_oracle(s, sys_params.omega_plus, t) for t in ts])
     data = np.column_stack(data)
     _require_finite(data, "rates table")
-    write_csv(cols, data, cfg.output_path, cfg.precision)
-    return 0
+    return cols, data
 
 
 def cmd_evolve(args, cfg):
@@ -225,16 +224,14 @@ def cmd_evolve(args, cfg):
         traj = evolve_phenomenological(sys_params, cfg.kappa, ts)
     cols, data = _trajectory_table(traj)
     _require_finite(data, "evolve table")
-    write_csv(cols, data, cfg.output_path, cfg.precision)
-    return 0
+    return cols, data
 
 
 def cmd_figures(args, cfg):
-    table = figure_data(args.id, args.case, t_max=args.t_max,
-                        n_points=args.n_points)
-    _require_finite(table.values, "figure table")
-    write_csv(table.columns, table.values, cfg.output_path, cfg.precision)
-    return 0
+    cols, data = figure_data(args.id, args.case, t_max=args.t_max,
+                             n_points=args.n_points)
+    _require_finite(data, "figure table")
+    return cols, data
 
 
 def cmd_sweep(args, cfg):
@@ -257,10 +254,8 @@ def cmd_sweep(args, cfg):
     rows = np.asarray(rows)
     # plateau_start and plateau_end are NaN by design where no plateau qualifies
     _require_finite(rows[:, :3], "sweep table")
-    write_csv(["lambda", "rate_ratio", "trapped_value",
-               "plateau_start", "plateau_end"],
-              rows, cfg.output_path, cfg.precision)
-    return 0
+    return ["lambda", "rate_ratio", "trapped_value",
+            "plateau_start", "plateau_end"], rows
 
 
 _COMMANDS = {
@@ -324,12 +319,15 @@ def main(argv=None):
             # overflow and 0/0 surface through _require_finite as one error
             # line, not as RuntimeWarnings on stderr
             with np.errstate(all="ignore"):
-                return _COMMANDS[cmd](args, cfg)
-        except (QuadratureError, OdeSolveError, FloatingPointError,
+                columns, values = _COMMANDS[cmd](args, cfg)
+            write_csv(columns, values, cfg.output_path, cfg.precision)
+            return 0
+        except (QuadratureError, OdeSolveError,
+                ArithmeticError,  # FloatingPointError, and float overflow or x/0
                 np.linalg.LinAlgError) as exc:  # ahead of ValueError, its base class
             sys.stderr.write(f"error: numerical: {exc}\n")
             return 3
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:  # ConfigError included
             sys.stderr.write(f"error: config: {exc}\n")
             return 2
         except MemoryError as exc:  # a grid too large to allocate

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ToleranceSpec, ode_solve
+from .numerics import ode_solve
 from .spectral import accumulated_rate, rate_closed_form, rate_quadrature_oracle
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 E0, MINUS, PLUS = 0, 1, 2
-_ODE_TOL = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-12, max_steps=1_000_000)
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,8 @@ def evolve_master_equation(sys, rates, t_grid):
     """Propagate the master equation as a 9-real-dimensional linear ODE.
 
     ``rates(t) -> (gamma_minus, gamma_plus)`` weights the channel generators;
-    RK45 runs at the fixed tolerance _ODE_TOL (relative 1e-10, absolute 1e-12).
+    ``ode_solve`` integrates it by RK45 at the tolerances fixed in numerics
+    (relative 1e-10, absolute 1e-12).
     """
     ts = _as_time_grid(t_grid)
     G0, G_m, G_p = _generator(sys)
@@ -231,7 +231,7 @@ def evolve_master_equation(sys, rates, t_grid):
         g_m, g_p = rates(t)
         return (G0 + g_m * G_m + g_p * G_p) @ y
 
-    y = ode_solve(rhs, _pack(initial_state_atom_excited()), ts, _ODE_TOL)
+    y = ode_solve(rhs, _pack(initial_state_atom_excited()), ts)
     states = _unpack(y)
     return Trajectory(times=ts, states=states, **populations(states))
 

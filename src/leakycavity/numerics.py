@@ -3,18 +3,18 @@
 Adaptive 1-D quadrature (QUADPACK via scipy), a vectorized composite
 Gauss-Legendre rule for smooth oscillatory windows, cumulative integrals
 on sample grids, and an adaptive RK45 propagator with dense output.
-All functions are pure; there is no shared mutable state.  scipy is
-imported inside the two functions that use it, so the closed-form paths
-(figures, sweep, analytic evolution) never pay for loading it.
+All functions are pure; there is no shared mutable state.  The
+propagator's tolerances and step budget are constants of this module;
+the quadrature's are arguments, set by each caller.  scipy is imported
+inside the two functions that use it, so the closed-form paths (figures,
+sweep, analytic evolution) never pay for loading it.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "ToleranceSpec",
     "QuadratureError",
     "OdeSolveError",
     "adaptive_quadrature",
@@ -22,15 +22,6 @@ __all__ = [
     "cumulative_integral",
     "ode_solve",
 ]
-
-
-@dataclass(frozen=True)
-class ToleranceSpec:
-    """Error-control request: relative, absolute, and a step/subdivision budget."""
-
-    rel_tol: float
-    abs_tol: float
-    max_steps: int
 
 
 class QuadratureError(RuntimeError):
@@ -50,15 +41,15 @@ class OdeSolveError(RuntimeError):
         self.last_t = last_t
 
 
-def adaptive_quadrature(f, a, b, tol, weight=None, wvar=None):
+def adaptive_quadrature(f, a, b, rel_tol, abs_tol, limit, weight=None, wvar=None):
     """Integrate f over [a, b] to the requested tolerance.
 
     Wraps QUADPACK: plain adaptive Gauss-Kronrod on finite intervals,
     the Fourier transform routine when ``weight`` is 'cos' or 'sin' with
     oscillation frequency ``wvar`` (b may then be +inf).  Raises
     QuadratureError if the estimated absolute error cannot be brought
-    below max(abs_tol, rel_tol*|result|) within tol.max_steps
-    subdivisions; the exception carries the best estimate.
+    below max(abs_tol, rel_tol*|result|) within ``limit`` subdivisions;
+    the exception carries the best estimate.
     """
     if a > b:
         raise ValueError(f"integration bounds out of order: a={a} > b={b}")
@@ -66,16 +57,13 @@ def adaptive_quadrature(f, a, b, tol, weight=None, wvar=None):
         return 0.0
     from scipy.integrate import quad
 
-    kwargs = dict(epsabs=tol.abs_tol, epsrel=tol.rel_tol,
-                  limit=tol.max_steps, full_output=True)
-    if weight is not None:
-        kwargs.update(weight=weight, wvar=wvar)
-    res = quad(f, a, b, **kwargs)
+    res = quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit,
+               weight=weight, wvar=wvar, full_output=True)
     estimate, err = res[0], res[1]
     if len(res) > 3:
         # QUADPACK appended a warning message: budget exhausted or roundoff limit
         raise QuadratureError(str(res[3]), estimate=estimate, error_bound=err)
-    if err > max(tol.abs_tol, tol.rel_tol * abs(estimate)):
+    if err > max(abs_tol, rel_tol * abs(estimate)):
         raise QuadratureError(
             f"estimated error {err:.3e} above requested tolerance",
             estimate=estimate, error_bound=err)
@@ -144,15 +132,20 @@ def cumulative_integral(t, values):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def ode_solve(deriv, state0, t_grid, tol):
+_ODE_RTOL = 1e-10           # RK45 local error control, relative
+_ODE_ATOL = 1e-12           # and absolute
+_ODE_MAX_STEPS = 1_000_000  # accepted steps per call; more raise OdeSolveError
+
+
+def ode_solve(deriv, state0, t_grid):
     """Propagate state0 along t_grid with an adaptive RK45 pair.
 
     ``deriv(t, y) -> dy/dt`` may be real or complex valued; local error
-    is controlled by tol.rel_tol / tol.abs_tol and interior steps are
-    independent of the output grid (requested times are filled from
-    dense output).  Returns an array of shape (len(t_grid), len(state0)).
-    Raises OdeSolveError, carrying the last good time, on step failure
-    or when tol.max_steps is exhausted.
+    is controlled by _ODE_RTOL / _ODE_ATOL (relative 1e-10, absolute
+    1e-12) and interior steps are independent of the output grid
+    (requested times are filled from dense output).  Returns an array of
+    shape (len(t_grid), len(state0)).  Raises OdeSolveError, carrying the
+    last good time, on step failure or after _ODE_MAX_STEPS steps.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
@@ -166,23 +159,19 @@ def ode_solve(deriv, state0, t_grid, tol):
         return out
     from scipy.integrate import RK45
 
-    solver = RK45(deriv, ts[0], y0, t_bound=ts[-1],
-                  rtol=tol.rel_tol, atol=tol.abs_tol)
+    # the last step is clamped to t_bound, so a finished solver has filled the grid
+    solver = RK45(deriv, ts[0], y0, t_bound=ts[-1], rtol=_ODE_RTOL, atol=_ODE_ATOL)
     idx = 1
-    steps = 0
-    while idx < ts.size:
+    for _ in range(_ODE_MAX_STEPS):
         solver.step()
-        steps += 1
         # on failure solver.t is still the last accepted time
         if solver.status == "failed":
             raise OdeSolveError("step size underflow", last_t=solver.t)
-        dense = solver.dense_output()
-        while idx < ts.size and ts[idx] <= solver.t:
-            out[idx] = dense(ts[idx])
-            idx += 1
-        if idx < ts.size and steps >= tol.max_steps:
-            raise OdeSolveError(
-                f"step budget {tol.max_steps} exhausted", last_t=solver.t)
-        if idx < ts.size and solver.status == "finished":
-            raise OdeSolveError("integration stopped early", last_t=solver.t)
-    return out
+        if ts[idx] <= solver.t:
+            dense = solver.dense_output()
+            while idx < ts.size and ts[idx] <= solver.t:
+                out[idx] = dense(ts[idx])
+                idx += 1
+            if idx == ts.size:
+                return out
+    raise OdeSolveError(f"step budget {_ODE_MAX_STEPS} exhausted", last_t=solver.t)

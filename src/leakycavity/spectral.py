@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ToleranceSpec, adaptive_quadrature, panel_gauss
+from .numerics import adaptive_quadrature, panel_gauss
 
 __all__ = [
     "LorentzianSpectrum",
@@ -91,9 +91,10 @@ def stationary_rate(s, omega):
 
 
 _WINDOW_HALFWIDTHS = 200  # K in the oracle docstring
+_TAIL_LIMIT = 200         # QUADPACK subdivisions for the Fourier tail
 
 
-def rate_quadrature_oracle(s, omega, t, tol=None):
+def rate_quadrature_oracle(s, omega, t):
     """gamma(omega, t) by direct quadrature of the spectral-density integral.
 
     Performs the time integral analytically under the omega' integral and
@@ -107,17 +108,16 @@ def rate_quadrature_oracle(s, omega, t, tol=None):
     (panels kept below half a half-width and below half an oscillation
     period of the kernel), plus one Fourier-weighted quadrature of the
     smooth tail integrand 2 [J(omega+x) + J(omega-x)]/x against sin(x t)
-    on [R, inf).  No use is made of the closed-form result; this is a test
-    oracle, not a fast path.  The window's panel count grows like t, and
-    past panel_gauss's budget (t above about 2.4e4 at lam = 1/3) the
-    oracle raises QuadratureError.
+    on [R, inf), to relative 1e-10 and absolute 1e-12 alpha within
+    _TAIL_LIMIT subdivisions.  No use is made of the closed-form result;
+    this is a test oracle, not a fast path.  The window's panel count
+    grows like t, and past panel_gauss's budget (t above about 2.4e4 at
+    lam = 1/3) the oracle raises QuadratureError.
     """
     _check_nonnegative_time(t)
     t = float(t)
     if t == 0.0:
         return 0.0
-    if tol is None:
-        tol = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-12 * s.alpha, max_steps=200)
     R = abs(s.omega1 - omega) + _WINDOW_HALFWIDTHS * s.lam
 
     def folded(x):
@@ -127,8 +127,12 @@ def rate_quadrature_oracle(s, omega, t, tol=None):
     # 2 sin(x t)/x with the removable singularity at x = 0
     window = panel_gauss(lambda x: folded(x) * 2.0 * t * np.sinc(x * t / np.pi),
                          0.0, R, width)
-    tail = adaptive_quadrature(lambda x: 2.0 * folded(x) / x, R, np.inf, tol,
-                               weight="sin", wvar=t)
+    # QUADPACK refuses a zero absolute tolerance for a Fourier integral, and
+    # 1e-12 * alpha underflows to it for a subnormal alpha
+    tail = adaptive_quadrature(lambda x: 2.0 * folded(x) / x, R, np.inf,
+                               rel_tol=1e-10,
+                               abs_tol=max(1e-12 * s.alpha, np.finfo(float).tiny),
+                               limit=_TAIL_LIMIT, weight="sin", wvar=t)
     return window + tail
 
 

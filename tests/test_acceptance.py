@@ -9,6 +9,7 @@ implementation was written, never copied from its own output.
 """
 
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -184,5 +185,5 @@ def test_criterion_12_byte_identical_reruns(tmp_path, capsys):
                              "--set", f"output.path={out_path}"])
             assert code == 0
         capsys.readouterr()
-        first, second = (open(p, "rb").read() for p in paths)
+        first, second = (Path(p).read_bytes() for p in paths)
         assert first == second and len(first) > 0

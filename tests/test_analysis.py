@@ -166,24 +166,24 @@ def test_reference_case_values():
 
 
 def test_figure_rates_table():
-    table = figure_data(1, "a")
-    assert table.columns == ("t", "gamma_minus", "gamma_plus")
-    assert table.values[0, 0] == 0.0
+    columns, values = figure_data(1, "a")
+    assert columns == ("t", "gamma_minus", "gamma_plus")
+    assert values[0, 0] == 0.0
     # both rates start at zero
-    assert table.values[0, 1] == 0.0 and table.values[0, 2] == 0.0
+    assert values[0, 1] == 0.0 and values[0, 2] == 0.0
     # lower-channel rate relaxes to alpha = 0.1 (units of 2 Omega)
-    long = figure_data(1, "a", t_max=60.0, n_points=1201)
-    assert abs(long.values[-1, 1] - 0.1) < 1e-9
+    _, long = figure_data(1, "a", t_max=60.0, n_points=1201)
+    assert abs(long[-1, 1] - 0.1) < 1e-9
     # narrow case: upper-channel rate attains a negative minimum
-    tb = figure_data(1, "b")
-    assert tb.values[:, 2].min() < 0.0
+    _, tb = figure_data(1, "b")
+    assert tb[:, 2].min() < 0.0
 
 
 def test_figure_ground_state_population_table():
-    table = figure_data(2, "b")
-    t = table.values[:, 0]
-    P_0g = table.values[:, 1]
-    assert table.columns == ("t", "P_0g")
+    columns, values = figure_data(2, "b")
+    t = values[:, 0]
+    P_0g = values[:, 1]
+    assert columns == ("t", "P_0g")
     assert P_0g[0] == 0.0
     # rises to about one half and stays near it over the plotted window
     assert np.any(P_0g[t < 80.0] > 0.45)
@@ -191,16 +191,16 @@ def test_figure_ground_state_population_table():
 
 
 def test_figure_atomic_ground_table_and_overrides():
-    table = figure_data(3, "a", t_max=10.0, n_points=11)
-    assert table.columns == ("t", "P_atom_g")
-    assert table.values.shape == (11, 2)
-    assert table.values[-1, 0] == 10.0
+    columns, values = figure_data(3, "a", t_max=10.0, n_points=11)
+    assert columns == ("t", "P_atom_g")
+    assert values.shape == (11, 2)
+    assert values[-1, 0] == 10.0
 
 
 def test_figure_data_is_deterministic():
-    a = figure_data(2, "b")
-    b = figure_data(2, "b")
-    assert np.array_equal(a.values, b.values)
+    _, a = figure_data(2, "b")
+    _, b = figure_data(2, "b")
+    assert np.array_equal(a, b)
 
 
 def test_figure_data_rejections():

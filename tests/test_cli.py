@@ -233,7 +233,7 @@ def test_figures_deterministic_output_files(tmp_path, capsys):
             ["figures", "--id", "2", "--case", "b",
              "--set", f"output.path={out_path}"], capsys)
         assert code == 0
-    first, second = (open(p, "rb").read() for p in paths)
+    first, second = (Path(p).read_bytes() for p in paths)
     assert first == second
     assert first.startswith(b"t,P_0g\n")
     # stdout carries the same bytes, also when it is a text-only stream
@@ -402,6 +402,8 @@ def test_rotating_wave_warning_is_one_stderr_line(tmp_path, capsys):
     ("reservoir.alpha=inf", 2, "error: config: alpha must be finite"),
     # finite but so narrow that lam**2 underflows and the rates read 0/0
     ("reservoir.lambda=1e-300", 3, "error: numerical: non-finite values"),
+    # so wide that the Python float lam**2 overflows
+    ("reservoir.lambda=1e200", 3, "error: numerical: "),
 ])
 def test_nonfinite_input_or_output_is_one_error_line(tmp_path, capsys, override,
                                                      code, prefix):
@@ -466,6 +468,32 @@ def test_oracle_past_panel_budget_is_one_numerical_error_line(capsys):
                               "--set", "evolve.t_max=1e300"], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: numerical: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--param", "lambda", "--from", "1e200", "--to", "1e200", "--steps", "1"],
+    ["sweep", "--param", "lambda", "--from", "0.05", "--to", "0.05", "--steps", "1",
+     "--set", "reservoir.alpha=5e-324"],
+    ["rates", "--set", "reservoir.lambda=1e200"],
+], ids=["sweep-overflow", "sweep-zero-division", "rates-overflow"])
+def test_float_arithmetic_error_is_one_numerical_error_line(capsys, argv):
+    # lam**2 overflows, or the rate ratio divides 0 by 0, in Python floats
+    code, out, err = run_cli([argv[0], "--config", os.devnull, *argv[1:]], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: numerical: ") and err.count("\n") == 1
+
+
+def test_oracle_at_subnormal_alpha_runs(capsys):
+    # 1e-12 * alpha underflows to 0, an absolute tolerance QUADPACK refuses
+    # for a Fourier tail; the oracle floors it instead
+    code, out, err = run_cli(["rates", "--config", os.devnull,
+                              "--set", "reservoir.alpha=5e-324",
+                              "--set", "evolve.n_output=3",
+                              "--set", "rates.mode=quadrature"], capsys)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    assert header[3:] == ["gamma_minus_oracle", "gamma_plus_oracle"]
+    assert np.all(rows[:, 1:] == 0.0)
 
 
 SCIPY_FREE_SCRIPT = """\

@@ -3,29 +3,29 @@ import pytest
 
 from leakycavity import numerics
 from leakycavity.numerics import (OdeSolveError, QuadratureError,
-                                  ToleranceSpec, adaptive_quadrature,
-                                  cumulative_integral, ode_solve, panel_gauss)
+                                  adaptive_quadrature, cumulative_integral,
+                                  ode_solve, panel_gauss)
 
 
-TOL = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-12, max_steps=10_000)
+TOL = dict(rel_tol=1e-10, abs_tol=1e-12, limit=10_000)
 
 
 def test_quadrature_linear():
-    assert abs(adaptive_quadrature(lambda t: t, 0.0, 1.0, TOL) - 0.5) < 1e-14
+    assert abs(adaptive_quadrature(lambda t: t, 0.0, 1.0, **TOL) - 0.5) < 1e-14
 
 
 def test_quadrature_zero_integrand():
-    assert adaptive_quadrature(lambda t: 0.0, 0.0, 10.0, TOL) == 0.0
+    assert adaptive_quadrature(lambda t: 0.0, 0.0, 10.0, **TOL) == 0.0
 
 
 def test_quadrature_degenerate_interval():
-    assert adaptive_quadrature(lambda t: t**3, 2.0, 2.0, TOL) == 0.0
+    assert adaptive_quadrature(lambda t: t**3, 2.0, 2.0, **TOL) == 0.0
 
 
 def test_quadrature_polynomial_exactness():
     # well inside the embedded rule's degree
     exact = 3.0**13 / 13.0 + 3.0**5
-    got = adaptive_quadrature(lambda t: t**12 + 5 * t**4, 0.0, 3.0, TOL)
+    got = adaptive_quadrature(lambda t: t**12 + 5 * t**4, 0.0, 3.0, **TOL)
     assert abs(got - exact) < 1e-12 * exact
 
 
@@ -35,21 +35,21 @@ def test_quadrature_lorentzian_window():
     def J(w):
         return (alpha * lam**2 / (2 * np.pi)) / ((omega1 - w) ** 2 + lam**2)
 
-    tol = ToleranceSpec(rel_tol=1e-12, abs_tol=1e-12 * alpha * lam, max_steps=500)
-    got = adaptive_quadrature(J, omega1 - 200 * lam, omega1 + 200 * lam, tol)
+    tol = dict(rel_tol=1e-12, abs_tol=1e-12 * alpha * lam, limit=500)
+    got = adaptive_quadrature(J, omega1 - 200 * lam, omega1 + 200 * lam, **tol)
     # arctan antiderivative over the finite window
     expected = (alpha * lam / np.pi) * np.arctan(200.0)
     assert abs(got - expected) < 1e-6 * alpha * lam
     # the window mass deliberately differs from the full-line mass alpha*lam/2
     # by the O(1/K) tail weight, about 1.6e-3 of it here
     assert abs(expected - alpha * lam / 2) > 1e-4 * alpha * lam
-    full = adaptive_quadrature(J, -np.inf, np.inf, tol)
+    full = adaptive_quadrature(J, -np.inf, np.inf, **tol)
     assert abs(full - alpha * lam / 2) < 1e-9 * alpha * lam
 
 
 def test_quadrature_rejects_reversed_bounds():
     with pytest.raises(ValueError):
-        adaptive_quadrature(lambda t: t, 1.0, 0.0, TOL)
+        adaptive_quadrature(lambda t: t, 1.0, 0.0, **TOL)
 
 
 def test_quadrature_nonconvergence_carries_estimate():
@@ -59,9 +59,9 @@ def test_quadrature_nonconvergence_carries_estimate():
     def peak(x):
         return lam / (x * x + lam * lam)
 
-    tol = ToleranceSpec(rel_tol=1e-12, abs_tol=1e-14, max_steps=1)
+    tol = dict(rel_tol=1e-12, abs_tol=1e-14, limit=1)
     with pytest.raises(QuadratureError) as err:
-        adaptive_quadrature(peak, -1.0, 1.0, tol)
+        adaptive_quadrature(peak, -1.0, 1.0, **tol)
     assert np.isfinite(err.value.estimate)
     assert err.value.error_bound > 0.0
 
@@ -133,6 +133,8 @@ def test_cumulative_rejects_degenerate_input():
         cumulative_integral(np.array([0.0, 2.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         cumulative_integral(np.array([-1.0, 0.0]), np.zeros(2))
+    with pytest.raises(ValueError):
+        cumulative_integral(np.array([0.0, 1.0]), np.zeros(3))
 
 
 def test_cumulative_nonnegative_integrand_is_nondecreasing():
@@ -142,14 +144,14 @@ def test_cumulative_nonnegative_integrand_is_nondecreasing():
 
 
 def test_ode_scalar_exponential():
-    out = ode_solve(lambda t, y: -y, np.array([1.0]), np.array([0.0, 1.0]), TOL)
+    out = ode_solve(lambda t, y: -y, np.array([1.0]), np.array([0.0, 1.0]))
     assert abs(out[-1, 0] - np.exp(-1.0)) < 1e-9
 
 
 def test_ode_phase_rotation_preserves_norm():
     omega = 3.0
     ts = np.linspace(0.0, 5.0, 11)
-    out = ode_solve(lambda t, y: 1j * omega * y, np.array([1.0 + 0.0j]), ts, TOL)
+    out = ode_solve(lambda t, y: 1j * omega * y, np.array([1.0 + 0.0j]), ts)
     assert out.dtype.kind == "c"
     assert np.max(np.abs(np.abs(out[:, 0]) - 1.0)) < 1e-9
     # phase agrees with e^{i omega t}
@@ -158,8 +160,15 @@ def test_ode_phase_rotation_preserves_norm():
 
 def test_ode_dense_output_fills_grid():
     ts = np.linspace(0.0, 2.0, 21)
-    out = ode_solve(lambda t, y: -y, np.array([1.0]), ts, TOL)
+    out = ode_solve(lambda t, y: -y, np.array([1.0]), ts)
     assert np.max(np.abs(out[:, 0] - np.exp(-ts))) < 1e-9
+
+    # a one-point grid is the initial state, without a step
+    def deriv(t, y):
+        raise AssertionError("right-hand side evaluated")
+
+    out = ode_solve(deriv, np.array([1.0, 2.0]), np.array([0.5]))
+    assert out.shape == (1, 2) and np.array_equal(out[0], [1.0, 2.0])
 
 
 def test_ode_step_failure_reports_last_time():
@@ -169,19 +178,19 @@ def test_ode_step_failure_reports_last_time():
             return y * y
 
     with pytest.raises(OdeSolveError) as err:
-        ode_solve(deriv, np.array([1.0]), np.array([0.0, 2.0]), TOL)
+        ode_solve(deriv, np.array([1.0]), np.array([0.0, 2.0]))
     assert 0.5 < err.value.last_t <= 1.05
 
 
-def test_ode_step_budget_exhausted():
-    tol = ToleranceSpec(rel_tol=1e-12, abs_tol=1e-14, max_steps=3)
+def test_ode_step_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(numerics, "_ODE_MAX_STEPS", 3)
     with pytest.raises(OdeSolveError) as err:
-        ode_solve(lambda t, y: -y, np.array([1.0]), np.array([0.0, 100.0]), tol)
+        ode_solve(lambda t, y: -y, np.array([1.0]), np.array([0.0, 100.0]))
     assert err.value.last_t < 100.0
 
 
 def test_ode_rejects_bad_grid():
     with pytest.raises(ValueError):
-        ode_solve(lambda t, y: -y, np.array([1.0]), np.array([0.0, 1.0, 0.5]), TOL)
+        ode_solve(lambda t, y: -y, np.array([1.0]), np.array([0.0, 1.0, 0.5]))
     with pytest.raises(ValueError):
-        ode_solve(lambda t, y: -y, np.array([1.0]), np.array([]), TOL)
+        ode_solve(lambda t, y: -y, np.array([1.0]), np.array([]))

@@ -5,7 +5,7 @@ import pytest
 
 from leakycavity import spectral
 from leakycavity.analysis import reference_case
-from leakycavity.numerics import QuadratureError, ToleranceSpec, adaptive_quadrature
+from leakycavity.numerics import QuadratureError, adaptive_quadrature
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
                                   rate_closed_form, rate_quadrature_oracle,
                                   spectral_density, stationary_rate)
@@ -167,8 +167,8 @@ def test_accumulated_rate_zero_and_resonant_form():
 
 def accumulated_rate_by_quadrature(s, omega, t):
     """Oracle for the antiderivative: adaptive quadrature of the closed-form rate."""
-    tol = ToleranceSpec(rel_tol=1e-10, abs_tol=1e-13, max_steps=200)
-    return adaptive_quadrature(lambda tp: rate_closed_form(s, omega, tp), 0.0, t, tol)
+    return adaptive_quadrature(lambda tp: rate_closed_form(s, omega, tp), 0.0, t,
+                               rel_tol=1e-10, abs_tol=1e-13, limit=200)
 
 
 def test_accumulated_rate_quadrature_mode_agrees():
@@ -200,12 +200,12 @@ def test_accumulated_rate_monotone_where_rate_nonnegative():
     assert np.all(np.diff(I) >= 0.0)
 
 
-def test_oracle_quadrature_failure_surfaces():
+def test_oracle_quadrature_failure_surfaces(monkeypatch):
     # starve the tail quadrature so non-convergence propagates as an error
     s = GENERIC
-    tol = ToleranceSpec(rel_tol=1e-14, abs_tol=1e-300, max_steps=1)
+    monkeypatch.setattr(spectral, "_TAIL_LIMIT", 1)
     with pytest.raises(QuadratureError):
-        rate_quadrature_oracle(s, s.omega1 + 0.3, 2.0, tol=tol)
+        rate_quadrature_oracle(s, s.omega1 + 0.3, 2.0)
 
 
 def test_oracle_at_huge_time_raises_without_allocating():
