@@ -83,14 +83,14 @@ def _no_plateau(note):
                           slope_at_plateau=np.nan, note=note)
 
 
-def detect_plateau(t, P, osc_period, floor=0.0):
+def detect_plateau(t, P, osc_period):
     """Find the longest interval where the smoothed series drifts slowly.
 
     The series is passed through two cascaded one-period averages to
     strip the Rabi oscillation (including the residual its decaying
     envelope leaves after a single pass), then the relative change per
     period |S'/S|*osc_period is compared against _PLATEAU_SLOPE_TOL;
-    samples must also sit above ``floor``.
+    samples must also sit above 0.
     The longest contiguous qualifying interval is reported if it spans
     at least _PLATEAU_MIN_PERIODS osc_periods; a shorter one is no plateau.
 
@@ -110,14 +110,14 @@ def detect_plateau(t, P, osc_period, floor=0.0):
     tc, S = _smooth_oscillation(t, P, osc_period)
     dS = np.gradient(S, tc)
     rel_per_period = np.abs(dS) * osc_period / np.maximum(S, 1e-300)
-    ok = (rel_per_period < _PLATEAU_SLOPE_TOL) & (S > floor)
+    ok = (rel_per_period < _PLATEAU_SLOPE_TOL) & (S > 0.0)
 
     padded = np.concatenate(([0], ok.astype(int), [0]))
     edges = np.diff(padded)
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
     if starts.size == 0:
-        return _no_plateau("no sample satisfies the slope and floor criteria")
+        return _no_plateau("no positive sample satisfies the slope criterion")
     k = int(np.argmax(tc[ends] - tc[starts]))
     i0, i1 = int(starts[k]), int(ends[k])
     duration = tc[i1] - tc[i0]
@@ -141,7 +141,9 @@ def asymptotic_rate_ratio(s, sys):
         raise ValueError(
             "asymptotic_rate_ratio assumes the spectrum peaks on the lower "
             f"dressed channel (omega1 = omega0 - Omega), got omega1={s.omega1}")
-    return stationary_rate(s, sys.omega_plus) / stationary_rate(s, sys.omega_minus)
+    # one array, so that a 0/0 is a NaN for the caller's finite check
+    upper, lower = stationary_rate(s, [sys.omega_plus, sys.omega_minus])
+    return upper / lower
 
 
 def reference_case(case):

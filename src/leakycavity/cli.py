@@ -53,15 +53,16 @@ class RunConfig:
     precision: int = 12
 
     def __post_init__(self):
+        key = {field: k for k, (field, _) in _KEYMAP.items()}
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+                raise ConfigError(f"{key[f.name]} must be finite, got {value}")
         for name in ("omega0", "Omega", "alpha", "lam", "t_max"):
             if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ConfigError(f"{key[name]} must be positive, got {getattr(self, name)}")
         if self.omega1 is not None and not self.omega1 > 0.0:
-            raise ConfigError(f"omega1 must be positive, got {self.omega1}")
+            raise ConfigError(f"{key['omega1']} must be positive, got {self.omega1}")
         if self.n_output < 2:
             raise ConfigError(f"evolve.n_output must be >= 2, got {self.n_output}")
         if self.precision < 1:
@@ -219,7 +220,8 @@ def cmd_evolve(args, cfg):
     if cfg.solver_mode == "analytic":
         traj = evolve_analytic(sys_params, cfg.spectrum(), ts)
     elif cfg.solver_mode == "tcl-ode":
-        traj = evolve_tcl_ode(sys_params, cfg.spectrum(), ts, rate_mode=cfg.rates_mode)
+        rate = rate_quadrature_oracle if cfg.rates_mode == "quadrature" else rate_closed_form
+        traj = evolve_tcl_ode(sys_params, cfg.spectrum(), ts, rate=rate)
     else:
         traj = evolve_phenomenological(sys_params, cfg.kappa, ts)
     cols, data = _trajectory_table(traj)

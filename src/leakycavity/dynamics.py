@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import ode_solve
-from .spectral import accumulated_rate, rate_closed_form, rate_quadrature_oracle
+from .spectral import accumulated_rate, rate_closed_form
 
 __all__ = [
     "SystemParams",
@@ -56,8 +56,8 @@ class SystemParams:
     warning rather than an error.
     """
 
-    omega0: float = 100.0
-    Omega: float = 0.5
+    omega0: float
+    Omega: float
 
     def __post_init__(self):
         if not self.omega0 > 0.0:
@@ -236,18 +236,13 @@ def evolve_master_equation(sys, rates, t_grid):
     return Trajectory(times=ts, states=states, **populations(states))
 
 
-def evolve_tcl_ode(sys, s, t_grid, rate_mode="closed-form"):
+def evolve_tcl_ode(sys, s, t_grid, rate=rate_closed_form):
     """The master equation with the rates of spectrum s, propagated as an ODE.
 
-    rate_mode selects where gamma_-+(t) comes from: 'closed-form' (fast)
-    or 'quadrature' (the oracle, evaluated fresh at every solver stage,
-    so keep the horizon short).
+    ``rate(s, omega, t)`` gives gamma at one channel frequency and time:
+    rate_closed_form (fast) or spectral.rate_quadrature_oracle (evaluated
+    fresh at every solver stage, so keep the horizon short).
     """
-    rate = {"closed-form": rate_closed_form,
-            "quadrature": rate_quadrature_oracle}.get(rate_mode)
-    if rate is None:
-        raise ValueError(
-            f"unknown rate_mode {rate_mode!r}, expected 'closed-form' or 'quadrature'")
     return evolve_master_equation(
         sys, lambda t: (rate(s, sys.omega_minus, t), rate(s, sys.omega_plus, t)),
         t_grid)

@@ -1,8 +1,8 @@
 """Integration utilities shared by the rate and dynamics modules.
 
-Adaptive 1-D quadrature (QUADPACK via scipy), a vectorized composite
-Gauss-Legendre rule for smooth oscillatory windows, cumulative integrals
-on sample grids, and an adaptive RK45 propagator with dense output.
+A Fourier-sine tail integral (QUADPACK via scipy), composite Gauss-Legendre
+panels on [0, b] for smooth oscillatory windows, cumulative integrals on
+sample grids, and an adaptive RK45 propagator with dense output.
 All functions are pure; there is no shared mutable state.  The
 propagator's tolerances and step budget are constants of this module;
 the quadrature's are arguments, set by each caller.  scipy is imported
@@ -41,24 +41,17 @@ class OdeSolveError(RuntimeError):
         self.last_t = last_t
 
 
-def adaptive_quadrature(f, a, b, rel_tol, abs_tol, limit, weight=None, wvar=None):
-    """Integrate f over [a, b] to the requested tolerance.
+def adaptive_quadrature(f, a, freq, rel_tol, abs_tol, limit):
+    """int_a^inf f(x) sin(freq x) dx by QUADPACK's Fourier routine (QAWF).
 
-    Wraps QUADPACK: plain adaptive Gauss-Kronrod on finite intervals,
-    the Fourier transform routine when ``weight`` is 'cos' or 'sin' with
-    oscillation frequency ``wvar`` (b may then be +inf).  Raises
-    QuadratureError if the estimated absolute error cannot be brought
-    below max(abs_tol, rel_tol*|result|) within ``limit`` subdivisions;
-    the exception carries the best estimate.
+    ``limit`` caps the subdivisions per cycle.  Raises QuadratureError,
+    carrying the best estimate, if the estimated absolute error exceeds
+    max(abs_tol, rel_tol*|result|); QUADPACK refuses abs_tol = 0 here.
     """
-    if a > b:
-        raise ValueError(f"integration bounds out of order: a={a} > b={b}")
-    if a == b:
-        return 0.0
     from scipy.integrate import quad
 
-    res = quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit,
-               weight=weight, wvar=wvar, full_output=True)
+    res = quad(f, a, np.inf, epsabs=abs_tol, epsrel=rel_tol, limit=limit,
+               weight="sin", wvar=freq, full_output=True)
     estimate, err = res[0], res[1]
     if len(res) > 3:
         # QUADPACK appended a warning message: budget exhausted or roundoff limit
@@ -79,29 +72,29 @@ def _gauss_rule():
     return np.polynomial.legendre.leggauss(16)
 
 
-def panel_gauss(f, a, b, max_width):
-    """Composite 16-point Gauss-Legendre quadrature with a cap on panel width.
+def panel_gauss(f, b, max_width):
+    """Integral of f over [0, b]: composite 16-point Gauss-Legendre, capped panel width.
 
     ``f`` must accept an array of abscissae and return the values
     elementwise; it is called on blocks of _PANEL_BLOCK panels, so memory
-    stays bounded however fine the split.  [a, b] is split into uniform
+    stays bounded however fine the split.  [0, b] is split into uniform
     panels no wider than ``max_width``; more than _PANEL_BUDGET panels
     raise QuadratureError before f is called.  Exact to rounding for
     polynomials of degree <= 31 on a single panel; for smooth oscillatory
     integrands choose max_width below half the oscillation period.
     """
-    if not b > a:
-        raise ValueError(f"need b > a, got a={a}, b={b}")
+    if not b > 0.0:
+        raise ValueError(f"need b > 0, got {b}")
     if not max_width > 0.0:
         raise ValueError(f"max_width must be positive, got {max_width}")
-    n = np.ceil((b - a) / max_width)
+    n = np.ceil(b / max_width)
     if not n <= _PANEL_BUDGET:
         raise QuadratureError(
             f"panel quadrature needs {n:.3g} panels, above the budget of {_PANEL_BUDGET}",
             estimate=np.nan, error_bound=np.inf)
     n = max(1, int(n))
     x, w = _gauss_rule()
-    bounds = np.linspace(a, b, n + 1)
+    bounds = np.linspace(0.0, b, n + 1)
     mid = 0.5 * (bounds[1:] + bounds[:-1])
     half = 0.5 * (bounds[1:] - bounds[:-1])
     total = 0.0
@@ -145,7 +138,8 @@ def ode_solve(deriv, state0, t_grid):
     1e-12) and interior steps are independent of the output grid
     (requested times are filled from dense output).  Returns an array of
     shape (len(t_grid), len(state0)).  Raises OdeSolveError, carrying the
-    last good time, on step failure or after _ODE_MAX_STEPS steps.
+    last good time, on a non-finite derivative at t_grid[0], on step
+    failure or after _ODE_MAX_STEPS steps.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
@@ -161,6 +155,9 @@ def ode_solve(deriv, state0, t_grid):
 
     # the last step is clamped to t_bound, so a finished solver has filled the grid
     solver = RK45(deriv, ts[0], y0, t_bound=ts[-1], rtol=_ODE_RTOL, atol=_ODE_ATOL)
+    # a NaN first step would make RK45 reject steps forever inside one step()
+    if not np.all(np.isfinite(solver.f)):
+        raise OdeSolveError(f"non-finite derivative at t={ts[0]:g}", last_t=ts[0])
     idx = 1
     for _ in range(_ODE_MAX_STEPS):
         solver.step()

@@ -56,7 +56,8 @@ class LorentzianSpectrum:
 def spectral_density(s, omega):
     """J(omega), vectorized over omega."""
     omega = np.asarray(omega, dtype=float)
-    out = (s.alpha * s.lam**2 / (2.0 * np.pi)) / ((s.omega1 - omega) ** 2 + s.lam**2)
+    lam2 = s.lam * s.lam  # a product overflows to inf where lam**2 would raise
+    out = (s.alpha * lam2 / (2.0 * np.pi)) / ((s.omega1 - omega) ** 2 + lam2)
     return out if out.ndim else float(out)
 
 
@@ -80,7 +81,8 @@ def rate_closed_form(s, omega, t):
     omega = np.asarray(omega, dtype=float)
     t = np.asarray(t, dtype=float)
     d = s.omega1 - omega
-    k = s.alpha * s.lam**2 / (d * d + s.lam**2)
+    lam2 = s.lam * s.lam
+    k = s.alpha * lam2 / (d * d + lam2)
     out = k * (1.0 + ((d / s.lam) * np.sin(d * t) - np.cos(d * t)) * np.exp(-s.lam * t))
     return out if out.ndim else float(out)
 
@@ -125,14 +127,13 @@ def rate_quadrature_oracle(s, omega, t):
 
     width = min(s.lam / 2.0, 0.5 * np.pi / t)
     # 2 sin(x t)/x with the removable singularity at x = 0
-    window = panel_gauss(lambda x: folded(x) * 2.0 * t * np.sinc(x * t / np.pi),
-                         0.0, R, width)
+    window = panel_gauss(lambda x: folded(x) * 2.0 * t * np.sinc(x * t / np.pi), R, width)
     # QUADPACK refuses a zero absolute tolerance for a Fourier integral, and
     # 1e-12 * alpha underflows to it for a subnormal alpha
-    tail = adaptive_quadrature(lambda x: 2.0 * folded(x) / x, R, np.inf,
+    tail = adaptive_quadrature(lambda x: 2.0 * folded(x) / x, R, t,
                                rel_tol=1e-10,
                                abs_tol=max(1e-12 * s.alpha, np.finfo(float).tiny),
-                               limit=_TAIL_LIMIT, weight="sin", wvar=t)
+                               limit=_TAIL_LIMIT)
     return window + tail
 
 
@@ -152,9 +153,10 @@ def accumulated_rate(s, omega, t):
     omega = np.asarray(omega, dtype=float)
     t = np.asarray(t, dtype=float)
     d = s.omega1 - omega
-    D = d * d + s.lam**2
-    k = s.alpha * s.lam**2 / D
-    c = (d * d - s.lam**2) / s.lam
+    lam2 = s.lam * s.lam
+    D = d * d + lam2
+    k = s.alpha * lam2 / D
+    c = (d * d - lam2) / s.lam
     out = k * (t + c / D
                - np.exp(-s.lam * t) * (2.0 * d * np.sin(d * t) + c * np.cos(d * t)) / D)
     return out if out.ndim else float(out)

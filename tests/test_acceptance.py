@@ -149,8 +149,7 @@ def test_criterion_10_single_rate_model_cannot_trap():
         P_minus = traj.P_minus
         P_plus = traj.P_plus
         assert np.max(np.abs(P_plus / P_minus - 1.0)) <= 1e-10
-        report = detect_plateau(ts, traj.P_atom_e,
-                                osc_period=RABI_PERIOD, floor=0.05)
+        report = detect_plateau(ts, traj.P_atom_e, osc_period=RABI_PERIOD)
         assert not report.detected
 
 

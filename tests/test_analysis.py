@@ -40,10 +40,10 @@ def test_detect_plateau_narrow_reservoir():
 
 def test_detect_plateau_single_rate_decay_is_not_trapping():
     # e^{-kappa t/2} cos^2(Omega t) with kappa = alpha: the smoothed series
-    # loses ~30% per period while above the floor, so nothing qualifies
+    # loses ~30% per period, so nothing qualifies
     t = np.linspace(0.0, 150.0, 7501)
     P = np.exp(-0.05 * t) * np.cos(0.5 * t) ** 2
-    report = detect_plateau(t, P, osc_period=RABI_PERIOD, floor=0.05)
+    report = detect_plateau(t, P, osc_period=RABI_PERIOD)
     assert not report.detected
 
 
@@ -67,8 +67,7 @@ def test_detect_plateau_series_too_short():
 
 def test_detect_plateau_nothing_qualifies():
     t = np.linspace(0.0, 400.0, 4001)
-    report = detect_plateau(t, np.exp(-t / 10.0), osc_period=RABI_PERIOD,
-                            floor=0.05)
+    report = detect_plateau(t, np.exp(-t / 10.0), osc_period=RABI_PERIOD)
     assert not report.detected
     assert report.note != ""
 
@@ -130,7 +129,7 @@ def test_asymptotic_rate_ratio_reference_values():
 
 
 def test_asymptotic_rate_ratio_flat_spectrum_limit():
-    sys = SystemParams()
+    sys = SystemParams(omega0=100.0, Omega=0.5)
     s = LorentzianSpectrum(alpha=0.1, lam=1e4, omega1=sys.omega_minus)
     assert asymptotic_rate_ratio(s, sys) > 1.0 - 1e-7
 
@@ -148,7 +147,7 @@ def test_asymptotic_rate_ratio_scale_invariance():
 
 
 def test_asymptotic_rate_ratio_rejects_off_peak_configuration():
-    sys = SystemParams()
+    sys = SystemParams(omega0=100.0, Omega=0.5)
     s = LorentzianSpectrum(alpha=0.1, lam=0.3, omega1=sys.omega0)
     with pytest.raises(ValueError):
         asymptotic_rate_ratio(s, sys)

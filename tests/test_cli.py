@@ -175,6 +175,34 @@ def test_evolve_phenomenological_channels_decay_at_kappa(capsys):
         assert np.max(np.abs(rows[:, header.index(name)] - want)) < 1e-8
 
 
+def test_evolve_tcl_ode_with_oracle_rates_matches_analytic(capsys):
+    common = ["evolve", "--config", os.devnull,
+              "--set", "evolve.t_max=2", "--set", "evolve.n_output=11"]
+    code, ref, err = run_cli(common, capsys)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(common + ["--set", "solver.mode=tcl-ode",
+                                       "--set", "rates.mode=quadrature"], capsys)
+    assert code == 0 and err == ""
+    ref_header, ref_rows = parse_csv(ref)
+    header, rows = parse_csv(out)
+    assert header == ref_header and rows.shape == (11, 11)
+    assert np.max(np.abs(rows - ref_rows)) < 1e-8
+
+
+@pytest.mark.parametrize("lam", ["1e-300", "1e200"])
+def test_tcl_ode_with_nan_initial_rate_is_one_numerical_error_line(lam):
+    # lam*lam underflows to 0 (the resonant rate reads 0/0) or overflows
+    # (inf/inf), so the derivative at t = 0 is NaN, which once left RK45
+    # rejecting steps forever; the timeout turns such a hang into a failure
+    proc = subprocess.run(
+        [sys.executable, "-m", "leakycavity.cli", "evolve", "--config", os.devnull,
+         "--set", "solver.mode=tcl-ode", "--set", f"reservoir.lambda={lam}",
+         "--set", "evolve.n_output=3"],
+        env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "error: numerical: non-finite derivative at t=0\n"
+
+
 # ---------------------------------------------------------------- rates
 
 
@@ -398,12 +426,12 @@ def test_rotating_wave_warning_is_one_stderr_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override, code, prefix", [
-    ("evolve.t_max=inf", 2, "error: config: t_max must be finite"),
-    ("reservoir.alpha=inf", 2, "error: config: alpha must be finite"),
-    # finite but so narrow that lam**2 underflows and the rates read 0/0
+    ("evolve.t_max=inf", 2, "error: config: evolve.t_max must be finite"),
+    ("reservoir.alpha=inf", 2, "error: config: reservoir.alpha must be finite"),
+    # finite but so narrow that lam*lam underflows and the rates read 0/0
     ("reservoir.lambda=1e-300", 3, "error: numerical: non-finite values"),
-    # so wide that the Python float lam**2 overflows
-    ("reservoir.lambda=1e200", 3, "error: numerical: "),
+    # so wide that lam*lam overflows and the rates read inf/inf
+    ("reservoir.lambda=1e200", 3, "error: numerical: non-finite values in the evolve table"),
 ])
 def test_nonfinite_input_or_output_is_one_error_line(tmp_path, capsys, override,
                                                      code, prefix):
@@ -418,7 +446,7 @@ def test_nonfinite_input_or_output_is_one_error_line(tmp_path, capsys, override,
 
 
 @pytest.mark.parametrize("settings, message", [
-    (["reservoir.omega1=0"], "omega1 must be positive, got 0.0"),
+    (["reservoir.omega1=0"], "reservoir.omega1 must be positive, got 0.0"),
     (["output.precision=0"], "output.precision must be >= 1, got 0"),
     (["solver.mode=phenomenological", "solver.kappa=-0.1"],
      "solver.kappa must be nonnegative, got -0.1"),
@@ -470,17 +498,19 @@ def test_oracle_past_panel_budget_is_one_numerical_error_line(capsys):
     assert err.startswith("error: numerical: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--param", "lambda", "--from", "1e200", "--to", "1e200", "--steps", "1"],
-    ["sweep", "--param", "lambda", "--from", "0.05", "--to", "0.05", "--steps", "1",
-     "--set", "reservoir.alpha=5e-324"],
-    ["rates", "--set", "reservoir.lambda=1e200"],
+@pytest.mark.parametrize("argv, what", [
+    (["sweep", "--param", "lambda", "--from", "1e200", "--to", "1e200", "--steps", "1"],
+     "trajectory at lambda=1e+200"),
+    (["sweep", "--param", "lambda", "--from", "0.05", "--to", "0.05", "--steps", "1",
+      "--set", "reservoir.alpha=5e-324"], "sweep table"),
+    (["rates", "--set", "reservoir.lambda=1e200"], "rates table"),
 ], ids=["sweep-overflow", "sweep-zero-division", "rates-overflow"])
-def test_float_arithmetic_error_is_one_numerical_error_line(capsys, argv):
-    # lam**2 overflows, or the rate ratio divides 0 by 0, in Python floats
+def test_float_arithmetic_error_is_one_numerical_error_line(capsys, argv, what):
+    # lam*lam overflows, or the rate ratio divides 0 by 0: the NaN reaches
+    # the finite check of the table, which names it
     code, out, err = run_cli([argv[0], "--config", os.devnull, *argv[1:]], capsys)
     assert code == 3 and out == ""
-    assert err.startswith("error: numerical: ") and err.count("\n") == 1
+    assert err == f"error: numerical: non-finite values in the {what}\n"
 
 
 def test_oracle_at_subnormal_alpha_runs(capsys):

@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from leakycavity import spectral
 from leakycavity.analysis import reference_case
-from leakycavity.numerics import QuadratureError, adaptive_quadrature
+from leakycavity.numerics import QuadratureError
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
                                   rate_closed_form, rate_quadrature_oracle,
                                   spectral_density, stationary_rate)
@@ -167,8 +168,10 @@ def test_accumulated_rate_zero_and_resonant_form():
 
 def accumulated_rate_by_quadrature(s, omega, t):
     """Oracle for the antiderivative: adaptive quadrature of the closed-form rate."""
-    return adaptive_quadrature(lambda tp: rate_closed_form(s, omega, tp), 0.0, t,
-                               rel_tol=1e-10, abs_tol=1e-13, limit=200)
+    value, err = quad(lambda tp: rate_closed_form(s, omega, tp), 0.0, t,
+                      epsrel=1e-10, epsabs=1e-13, limit=200)
+    assert err <= max(1e-13, 1e-10 * abs(value))
+    return value
 
 
 def test_accumulated_rate_quadrature_mode_agrees():
