@@ -137,12 +137,12 @@ def asymptotic_rate_ratio(s, sys):
     lam**2 / (4 Omega**2 + lam**2); configurations with omega1 elsewhere
     are rejected since the simple ratio formula no longer applies.
     """
-    if not np.isclose(s.omega1, sys.omega_minus, rtol=1e-9, atol=1e-12):
+    if not np.isclose(s.omega1, sys.channels[0], rtol=1e-9, atol=1e-12):
         raise ValueError(
             "asymptotic_rate_ratio assumes the spectrum peaks on the lower "
             f"dressed channel (omega1 = omega0 - Omega), got omega1={s.omega1}")
     # one array, so that a 0/0 is a NaN for the caller's finite check
-    upper, lower = stationary_rate(s, [sys.omega_plus, sys.omega_minus])
+    lower, upper = stationary_rate(s, sys.channels)
     return upper / lower
 
 
@@ -160,7 +160,7 @@ def reference_case(case):
     else:
         raise ValueError(f"unknown case {case!r}, expected 'a' or 'b'")
     s = LorentzianSpectrum(alpha=0.2 * sys.Omega, lam=lam,
-                           omega1=sys.omega_minus)
+                           omega1=sys.omega0 - sys.Omega)
     return sys, s
 
 
@@ -185,9 +185,8 @@ def figure_data(figure_id, case, t_max=None, n_points=None):
         raise ValueError("need 0 < t_max < inf and n_points >= 2")
     t = np.linspace(0.0, t_max, n_points)
     if figure_id == 1:
-        gm = rate_closed_form(s, sys.omega_minus, t)
-        gp = rate_closed_form(s, sys.omega_plus, t)
-        return ("t", "gamma_minus", "gamma_plus"), np.column_stack([t, gm, gp])
+        rates = rate_closed_form(s, sys.channels[:, None], t)
+        return ("t", "gamma_minus", "gamma_plus"), np.column_stack([t, rates.T])
     traj = evolve_analytic(sys, s, t)
     if figure_id == 2:
         return ("t", "P_0g"), np.column_stack([t, traj.P_0g])

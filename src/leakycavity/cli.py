@@ -198,17 +198,14 @@ def _trajectory_table(traj):
 
 
 def cmd_rates(args, cfg):
-    sys_params = cfg.system()
+    channels = cfg.system().channels[:, None]
     s = cfg.spectrum()
     ts = cfg.grid()
     cols = ["t", "gamma_minus", "gamma_plus"]
-    data = [ts,
-            rate_closed_form(s, sys_params.omega_minus, ts),
-            rate_closed_form(s, sys_params.omega_plus, ts)]
+    data = [ts, rate_closed_form(s, channels, ts).T]
     if cfg.rates_mode == "quadrature":
         cols += ["gamma_minus_oracle", "gamma_plus_oracle"]
-        data.append([rate_quadrature_oracle(s, sys_params.omega_minus, t) for t in ts])
-        data.append([rate_quadrature_oracle(s, sys_params.omega_plus, t) for t in ts])
+        data.append(rate_quadrature_oracle(s, channels, ts).T)
     data = np.column_stack(data)
     _require_finite(data, "rates table")
     return cols, data

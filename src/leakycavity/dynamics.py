@@ -71,12 +71,9 @@ class SystemParams:
                 "is questionable here", stacklevel=3)
 
     @property
-    def omega_minus(self):
-        return self.omega0 - self.Omega
-
-    @property
-    def omega_plus(self):
-        return self.omega0 + self.Omega
+    def channels(self):
+        """The dressed channel frequencies [omega0 - Omega, omega0 + Omega]."""
+        return np.array([self.omega0 - self.Omega, self.omega0 + self.Omega])
 
 
 @dataclass(frozen=True)
@@ -182,8 +179,7 @@ def _as_time_grid(t_grid):
 def evolve_analytic(sys, s, t_grid):
     """Trajectory from the closed-form solution, rates accumulated analytically."""
     ts = _as_time_grid(t_grid)
-    I_m = accumulated_rate(s, sys.omega_minus, ts)
-    I_p = accumulated_rate(s, sys.omega_plus, ts)
+    I_m, I_p = accumulated_rate(s, sys.channels[:, None], ts)
     states = rho_analytic(sys, I_m, I_p, ts)
     return Trajectory(times=ts, states=states, **populations(states))
 
@@ -220,7 +216,8 @@ def _generator(sys):
 def evolve_master_equation(sys, rates, t_grid):
     """Propagate the master equation as a 9-real-dimensional linear ODE.
 
-    ``rates(t) -> (gamma_minus, gamma_plus)`` weights the channel generators;
+    ``rates(t) -> (gamma_minus, gamma_plus)``, a pair or a length-2 array,
+    weights the channel generators;
     ``ode_solve`` integrates it by RK45 at the tolerances fixed in numerics
     (relative 1e-10, absolute 1e-12).
     """
@@ -239,13 +236,13 @@ def evolve_master_equation(sys, rates, t_grid):
 def evolve_tcl_ode(sys, s, t_grid, rate=rate_closed_form):
     """The master equation with the rates of spectrum s, propagated as an ODE.
 
-    ``rate(s, omega, t)`` gives gamma at one channel frequency and time:
-    rate_closed_form (fast) or spectral.rate_quadrature_oracle (evaluated
-    fresh at every solver stage, so keep the horizon short).
+    ``rate(s, omega, t)`` gives gamma elementwise over an array of channel
+    frequencies, called once per right-hand-side evaluation for both
+    channels: rate_closed_form (fast) or spectral.rate_quadrature_oracle
+    (evaluated fresh at every solver stage, so keep the horizon short).
     """
-    return evolve_master_equation(
-        sys, lambda t: (rate(s, sys.omega_minus, t), rate(s, sys.omega_plus, t)),
-        t_grid)
+    channels = sys.channels
+    return evolve_master_equation(sys, lambda t: rate(s, channels, t), t_grid)
 
 
 def evolve_phenomenological(sys, kappa, t_grid):

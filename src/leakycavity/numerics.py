@@ -54,8 +54,10 @@ def adaptive_quadrature(f, a, freq, rel_tol, abs_tol, limit):
                weight="sin", wvar=freq, full_output=True)
     estimate, err = res[0], res[1]
     if len(res) > 3:
-        # QUADPACK appended a warning message: budget exhausted or roundoff limit
-        raise QuadratureError(str(res[3]), estimate=estimate, error_bound=err)
+        # QUADPACK appended a warning message (budget exhausted or roundoff
+        # limit), wrapped over several lines: keep it to one
+        raise QuadratureError(" ".join(str(res[3]).split()), estimate=estimate,
+                              error_bound=err)
     if err > max(abs_tol, rel_tol * abs(estimate)):
         raise QuadratureError(
             f"estimated error {err:.3e} above requested tolerance",
@@ -139,7 +141,8 @@ def ode_solve(deriv, state0, t_grid):
     (requested times are filled from dense output).  Returns an array of
     shape (len(t_grid), len(state0)).  Raises OdeSolveError, carrying the
     last good time, on a non-finite derivative at t_grid[0], on step
-    failure or after _ODE_MAX_STEPS steps.
+    failure, after _ODE_MAX_STEPS steps, or as soon as 1% of that budget
+    has covered under 1% of the grid's span, a pace that would exhaust it.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
@@ -159,7 +162,11 @@ def ode_solve(deriv, state0, t_grid):
     if not np.all(np.isfinite(solver.f)):
         raise OdeSolveError(f"non-finite derivative at t={ts[0]:g}", last_t=ts[0])
     idx = 1
-    for _ in range(_ODE_MAX_STEPS):
+    for n in range(_ODE_MAX_STEPS):
+        if n == _ODE_MAX_STEPS // 100 and solver.t - ts[0] < 0.01 * (ts[-1] - ts[0]):
+            raise OdeSolveError(f"step budget {_ODE_MAX_STEPS} would run out: {n} steps "
+                                f"reached t={solver.t:g}, under 1% of the span to t={ts[-1]:g}",
+                                last_t=solver.t)
         solver.step()
         # on failure solver.t is still the last accepted time
         if solver.status == "failed":

@@ -54,11 +54,10 @@ class LorentzianSpectrum:
 
 
 def spectral_density(s, omega):
-    """J(omega), vectorized over omega."""
-    omega = np.asarray(omega, dtype=float)
+    """J(omega) at a float omega or elementwise over an array of them."""
+    d = s.omega1 - omega
     lam2 = s.lam * s.lam  # a product overflows to inf where lam**2 would raise
-    out = (s.alpha * lam2 / (2.0 * np.pi)) / ((s.omega1 - omega) ** 2 + lam2)
-    return out if out.ndim else float(out)
+    return (s.alpha * lam2 / (2.0 * np.pi)) / (d * d + lam2)
 
 
 def _check_nonnegative_time(t):
@@ -75,16 +74,14 @@ def rate_closed_form(s, omega, t):
     Exactly zero at t = 0 for every omega; relaxes to the stationary value
     k on the memory time 1/lam.  For channels detuned by |d| > lam the
     transient oscillates and the rate goes negative over part of the
-    first few periods.  Broadcasts over omega and t.
+    first few periods.  Broadcasts over omega and t: the channel axis
+    SystemParams.channels[:, None] against a time grid gives both channels.
     """
     _check_nonnegative_time(t)
-    omega = np.asarray(omega, dtype=float)
-    t = np.asarray(t, dtype=float)
     d = s.omega1 - omega
     lam2 = s.lam * s.lam
     k = s.alpha * lam2 / (d * d + lam2)
-    out = k * (1.0 + ((d / s.lam) * np.sin(d * t) - np.cos(d * t)) * np.exp(-s.lam * t))
-    return out if out.ndim else float(out)
+    return k * (1.0 + ((d / s.lam) * np.sin(d * t) - np.cos(d * t)) * np.exp(-s.lam * t))
 
 
 def stationary_rate(s, omega):
@@ -112,12 +109,17 @@ def rate_quadrature_oracle(s, omega, t):
     smooth tail integrand 2 [J(omega+x) + J(omega-x)]/x against sin(x t)
     on [R, inf), to relative 1e-10 and absolute 1e-12 alpha within
     _TAIL_LIMIT subdivisions.  No use is made of the closed-form result;
-    this is a test oracle, not a fast path.  The window's panel count
-    grows like t, and past panel_gauss's budget (t above about 2.4e4 at
-    lam = 1/3) the oracle raises QuadratureError.
+    this is a test oracle, not a fast path.  Broadcasts over omega and t
+    like rate_closed_form, one quadrature per point in row-major order.
+    The window's panel count grows like t, and past panel_gauss's budget
+    (t above about 2.4e4 at lam = 1/3) the oracle raises QuadratureError.
     """
     _check_nonnegative_time(t)
-    t = float(t)
+    return np.vectorize(_oracle_point, otypes=[float], excluded={0})(s, omega, t)[()]
+
+
+def _oracle_point(s, omega, t):
+    """rate_quadrature_oracle at one float omega and one float t >= 0."""
     if t == 0.0:
         return 0.0
     R = abs(s.omega1 - omega) + _WINDOW_HALFWIDTHS * s.lam
@@ -147,16 +149,13 @@ def accumulated_rate(s, omega, t):
                   - e^{-lam t} [ 2 d sin(d t) + ((d^2 - lam^2)/lam) cos(d t) ] / D ),
 
     with d = omega1 - omega and D = d^2 + lam^2; it vanishes at t = 0 and
-    broadcasts over omega and t.
+    broadcasts over omega and t like rate_closed_form.
     """
     _check_nonnegative_time(t)
-    omega = np.asarray(omega, dtype=float)
-    t = np.asarray(t, dtype=float)
     d = s.omega1 - omega
     lam2 = s.lam * s.lam
     D = d * d + lam2
     k = s.alpha * lam2 / D
     c = (d * d - lam2) / s.lam
-    out = k * (t + c / D
-               - np.exp(-s.lam * t) * (2.0 * d * np.sin(d * t) + c * np.cos(d * t)) / D)
-    return out if out.ndim else float(out)
+    return k * (t + c / D
+                - np.exp(-s.lam * t) * (2.0 * d * np.sin(d * t) + c * np.cos(d * t)) / D)

@@ -41,8 +41,8 @@ def test_criterion_01_stationary_rates():
     with criterion(1, "stationary rates: gamma_-(inf) = alpha, channel ratios 1/10 and 1/100"):
         for case, ratio in (("a", 0.1), ("b", 0.01)):
             sys, s = reference_case(case)
-            g_minus = stationary_rate(s, sys.omega_minus)
-            g_plus = stationary_rate(s, sys.omega_plus)
+            g_minus = stationary_rate(s, sys.channels[0])
+            g_plus = stationary_rate(s, sys.channels[1])
             assert abs(g_minus - s.alpha) <= 1e-12
             assert abs(g_plus / g_minus - ratio) <= 1e-12
 
@@ -86,7 +86,7 @@ def test_criterion_05_negative_transient_rate():
     with criterion(5, "narrow reservoir (case b): upper-channel rate dips below zero"):
         sys, s = reference_case("b")
         ts = np.linspace(0.0, 60.0, 6001)
-        assert np.min(rate_closed_form(s, sys.omega_plus, ts)) < 0.0
+        assert np.min(rate_closed_form(s, sys.channels[1], ts)) < 0.0
 
 
 def test_criterion_06_ground_state_plateau_then_decay():
@@ -119,11 +119,11 @@ def test_criterion_08_exact_trapping_limit():
         sys, s = reference_case("a")
         ts = np.linspace(0.0, 2000.0, 401)
         traj = evolve_master_equation(
-            sys, lambda t: (rate_closed_form(s, sys.omega_minus, t), 0.0), ts)
+            sys, lambda t: (rate_closed_form(s, sys.channels[0], t), 0.0), ts)
         assert abs(traj.P_atom_e[-1] - 0.25) <= 1e-6
         assert abs(traj.P_0g[-1] - 0.5) <= 1e-6
         # closed-form cross-check of the same limit
-        I_minus = accumulated_rate(s, sys.omega_minus, 2000.0)
+        I_minus = accumulated_rate(s, sys.channels[0], 2000.0)
         exact = populations(rho_analytic(sys, I_minus, 0.0, 2000.0))
         assert abs(exact["P_atom_e"] - 0.25) <= 1e-6
         assert abs(exact["P_0g"] - 0.5) <= 1e-6
@@ -165,7 +165,7 @@ def test_criterion_11_omega0_invariance():
             for omega0 in (50.0, 100.0, 200.0):
                 sys = SystemParams(omega0=omega0, Omega=0.5)
                 s = LorentzianSpectrum(alpha=s0.alpha, lam=s0.lam,
-                                       omega1=sys.omega_minus)
+                                       omega1=sys.channels[0])
                 ode = evolve_tcl_ode(sys, s, ts)
                 exact = evolve_analytic(sys, s, ts)
                 assert np.max(np.abs(ode.states - exact.states)) <= 1e-8

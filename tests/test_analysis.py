@@ -130,7 +130,7 @@ def test_asymptotic_rate_ratio_reference_values():
 
 def test_asymptotic_rate_ratio_flat_spectrum_limit():
     sys = SystemParams(omega0=100.0, Omega=0.5)
-    s = LorentzianSpectrum(alpha=0.1, lam=1e4, omega1=sys.omega_minus)
+    s = LorentzianSpectrum(alpha=0.1, lam=1e4, omega1=sys.channels[0])
     assert asymptotic_rate_ratio(s, sys) > 1.0 - 1e-7
 
 
@@ -138,9 +138,9 @@ def test_asymptotic_rate_ratio_scale_invariance():
     for scale in (2.0, 7.5):
         sys1 = SystemParams(omega0=100.0, Omega=0.5)
         sys2 = SystemParams(omega0=100.0 * scale, Omega=0.5 * scale)
-        s1 = LorentzianSpectrum(alpha=0.1, lam=0.31, omega1=sys1.omega_minus)
+        s1 = LorentzianSpectrum(alpha=0.1, lam=0.31, omega1=sys1.channels[0])
         s2 = LorentzianSpectrum(alpha=0.1, lam=0.31 * scale,
-                                omega1=sys2.omega_minus)
+                                omega1=sys2.channels[0])
         r1 = asymptotic_rate_ratio(s1, sys1)
         r2 = asymptotic_rate_ratio(s2, sys2)
         assert abs(r1 - r2) < 1e-14

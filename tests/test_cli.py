@@ -203,6 +203,23 @@ def test_tcl_ode_with_nan_initial_rate_is_one_numerical_error_line(lam):
     assert proc.stderr == "error: numerical: non-finite derivative at t=0\n"
 
 
+@pytest.mark.parametrize("settings", [
+    ["solver.mode=tcl-ode", "evolve.t_max=1e300"],
+    ["solver.mode=phenomenological", "solver.kappa=1e300"],
+], ids=["tcl-ode-horizon", "phenomenological-stiff"])
+def test_hopeless_ode_horizon_is_one_numerical_error_line(settings):
+    # 1% of the step budget covers under 1% of either span, so the ODE
+    # stops in seconds; the timeout turns spending the whole budget into a
+    # failure
+    proc = subprocess.run(
+        [sys.executable, "-m", "leakycavity.cli", "evolve", "--config", os.devnull,
+         "--set", "evolve.n_output=3", *(a for kv in settings for a in ("--set", kv))],
+        env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: numerical: ")
+    assert "under 1% of the span" in proc.stderr and proc.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------- rates
 
 
@@ -511,6 +528,19 @@ def test_float_arithmetic_error_is_one_numerical_error_line(capsys, argv, what):
     code, out, err = run_cli([argv[0], "--config", os.devnull, *argv[1:]], capsys)
     assert code == 3 and out == ""
     assert err == f"error: numerical: non-finite values in the {what}\n"
+
+
+def test_quadpack_warning_is_one_numerical_error_line(capsys):
+    # QAWF reports bad integrand behaviour for the oracle at t ~ 1e-6 and
+    # wraps its message over three lines
+    code, out, err = run_cli(["rates", "--config", os.devnull,
+                              "--set", "rates.mode=quadrature",
+                              "--set", "reservoir.lambda=0.1005037815259212",
+                              "--set", "evolve.t_max=1e-5",
+                              "--set", "evolve.n_output=11"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: numerical: Bad integrand behavior")
+    assert err.count("\n") == 1
 
 
 def test_oracle_at_subnormal_alpha_runs(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from leakycavity import dynamics
 from leakycavity.analysis import reference_case
 from leakycavity.dynamics import (SystemParams, _pack, _unpack,
                                   evolve_analytic, evolve_master_equation,
@@ -20,7 +21,7 @@ def test_system_params_validation_and_warning():
     with pytest.warns(UserWarning, match="rotating-wave"):
         SystemParams(omega0=1.0, Omega=0.5)
     sys = SystemParams(omega0=100.0, Omega=0.5)
-    assert sys.omega_minus == 99.5 and sys.omega_plus == 100.5
+    assert sys.channels[0] == 99.5 and sys.channels[1] == 100.5
 
 
 def test_rotating_wave_warning_names_the_caller():
@@ -114,8 +115,8 @@ def _populations_per_sample(rho):
 def test_vectorized_analytic_matches_per_sample_reference(case):
     sys, s = reference_case(case)
     ts = np.linspace(0.0, 300.0, 6001)  # the figure-3 grid
-    I_m = accumulated_rate(s, sys.omega_minus, ts)
-    I_p = accumulated_rate(s, sys.omega_plus, ts)
+    I_m = accumulated_rate(s, sys.channels[0], ts)
+    I_p = accumulated_rate(s, sys.channels[1], ts)
     ref_states = np.array([_rho_analytic_per_sample(sys, im, ip, ti)
                            for im, ip, ti in zip(I_m, I_p, ts)])
     np.testing.assert_array_equal(rho_analytic(sys, I_m, I_p, ts), ref_states)
@@ -177,6 +178,27 @@ def test_ode_quadrature_rate_mode():
     assert np.max(np.abs(got.states - ref.states)) < 1e-6
 
 
+def test_tcl_ode_makes_one_rate_call_per_rhs_evaluation(monkeypatch):
+    sys, s = reference_case("b")
+    calls = {"rate": 0, "rhs": 0}
+
+    def counting_rate(s, omega, t):
+        calls["rate"] += 1
+        return rate_closed_form(s, omega, t)
+
+    def counting_ode_solve(deriv, state0, t_grid):
+        def counted(t, y):
+            calls["rhs"] += 1
+            return deriv(t, y)
+        return ode_solve(counted, state0, t_grid)
+
+    monkeypatch.setattr(dynamics, "ode_solve", counting_ode_solve)
+    ts = np.linspace(0.0, 5.0, 11)
+    got = evolve_tcl_ode(sys, s, ts, rate=counting_rate)
+    assert calls["rhs"] > 0 and calls["rate"] == calls["rhs"]
+    assert np.max(np.abs(got.states - evolve_analytic(sys, s, ts).states)) < 1e-8
+
+
 def test_ode_rates_forced_to_zero_gives_rabi_oscillation():
     sys, s = reference_case("a")
     ts = np.linspace(0.0, 12.0, 241)
@@ -209,14 +231,14 @@ SYS_B, S_B = reference_case("b")
 
 
 @pytest.mark.parametrize("rates", [
-    lambda t: (rate_closed_form(S_B, SYS_B.omega_minus, t),
-               rate_closed_form(S_B, SYS_B.omega_plus, t)),
+    lambda t: (rate_closed_form(S_B, SYS_B.channels[0], t),
+               rate_closed_form(S_B, SYS_B.channels[1], t)),
     lambda t: (0.3, 0.05),
 ], ids=["case-b", "constant-unequal"])
 def test_generator_matches_per_call_reference(rates):
     ts = np.linspace(0.0, 12.0, 241)
     # case b on [0, 12] takes the upper-channel rate negative
-    assert rate_closed_form(S_B, SYS_B.omega_plus, ts).min() < 0.0
+    assert rate_closed_form(S_B, SYS_B.channels[1], ts).min() < 0.0
     ref = _unpack(ode_solve(_per_call_rhs(SYS_B, rates),
                             _pack(initial_state_atom_excited()), ts))
     got = evolve_master_equation(SYS_B, rates, ts)
@@ -226,8 +248,8 @@ def test_generator_matches_per_call_reference(rates):
 def test_ground_population_monotone_for_nonnegative_rates():
     sys, s = reference_case("a")
     ts = np.linspace(0.0, 30.0, 601)
-    gm = rate_closed_form(s, sys.omega_minus, ts)
-    gp = rate_closed_form(s, sys.omega_plus, ts)
+    gm = rate_closed_form(s, sys.channels[0], ts)
+    gp = rate_closed_form(s, sys.channels[1], ts)
     assert np.all(gm >= 0.0) and np.all(gp >= 0.0)
     P_E0 = evolve_tcl_ode(sys, s, ts).P_E0
     assert np.all(np.diff(P_E0) >= -1e-12)
@@ -239,7 +261,7 @@ def test_dressed_channels_decouple():
     ts = np.linspace(0.0, 20.0, 2001)
     traj = evolve_tcl_ode(sys, s, ts)
     dt = ts[1] - ts[0]
-    for name, omega in (("P_minus", sys.omega_minus), ("P_plus", sys.omega_plus)):
+    for name, omega in (("P_minus", sys.channels[0]), ("P_plus", sys.channels[1])):
         P = getattr(traj, name)
         dP = (P[2:] - P[:-2]) / (2 * dt)
         resid = dP + 0.5 * rate_closed_form(s, omega, ts[1:-1]) * P[1:-1]
@@ -255,7 +277,7 @@ def test_populations_independent_of_omega0():
     for omega0 in (50.0, 100.0, 200.0):
         sys = SystemParams(omega0=omega0, Omega=0.5)
         s_w = LorentzianSpectrum(alpha=s.alpha, lam=s.lam,
-                                 omega1=sys.omega_minus)
+                                 omega1=sys.channels[0])
         traj = evolve_analytic(sys, s_w, ts)
         cols = np.column_stack([getattr(traj, n) for n in
                                 ("P_E0", "P_minus", "P_plus", "P_0e", "P_atom_g")])

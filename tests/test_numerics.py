@@ -187,6 +187,28 @@ def test_ode_step_budget_exhausted(monkeypatch):
     assert err.value.last_t < 100.0
 
 
+def test_ode_hopeless_horizon_raises_after_one_percent_of_the_budget(monkeypatch):
+    # y' = cos t keeps RK45's step near 0.08: 1% of a 10000-step budget
+    # reaches t ~ 8, under 1% of a 1e6 span, so the whole budget could not
+    # get there; the solver stops at once instead of spending it
+    monkeypatch.setattr(numerics, "_ODE_MAX_STEPS", 10_000)
+    calls = []
+
+    def deriv(t, y):
+        calls.append(t)
+        return np.cos(t) * np.ones_like(y)
+
+    with pytest.raises(OdeSolveError, match="under 1% of the span") as err:
+        ode_solve(deriv, np.array([0.0]), np.array([0.0, 1e6]))
+    assert 0.0 < err.value.last_t < 1e4
+    # RK45 spends six evaluations per step: 100 steps, not the budget's 10000
+    assert len(calls) < 1000
+    # a span that the same pace covers within the budget still succeeds
+    ts = np.linspace(0.0, 500.0, 6)
+    out = ode_solve(deriv, np.array([0.0]), ts)
+    assert np.max(np.abs(out[:, 0] - np.sin(ts))) < 1e-8
+
+
 def test_ode_rejects_bad_grid():
     with pytest.raises(ValueError):
         ode_solve(lambda t, y: -y, np.array([1.0]), np.array([0.0, 1.0, 0.5]))

@@ -65,12 +65,12 @@ def test_rate_detuned_channel_form():
 def test_rate_negative_transient_narrow_reservoir():
     sys, s = reference_case("b")
     t = np.linspace(0.0, 60.0, 6001)
-    g_plus = rate_closed_form(s, sys.omega_plus, t)
+    g_plus = rate_closed_form(s, sys.channels[1], t)
     assert g_plus.min() < -0.04 * s.alpha
     # contrast: the broad reservoir's overshoot sqrt(1 + (d/lam)^2) e^{-lam t}
     # never beats 1, so its upper-channel rate stays nonnegative
     _, sa = reference_case("a")
-    assert rate_closed_form(sa, sys.omega_plus, t).min() >= 0.0
+    assert rate_closed_form(sa, sys.channels[1], t).min() >= 0.0
 
 
 def test_rate_rejects_negative_time():
@@ -100,9 +100,9 @@ def test_stationary_rate_values():
     sys, sa = reference_case("a")
     _, sb = reference_case("b")
     assert abs(stationary_rate(sa, sa.omega1) - sa.alpha) < 1e-15
-    assert abs(stationary_rate(sa, sys.omega_plus) / stationary_rate(sa, sys.omega_minus)
+    assert abs(stationary_rate(sa, sys.channels[1]) / stationary_rate(sa, sys.channels[0])
                - 0.1) < 1e-12
-    assert abs(stationary_rate(sb, sys.omega_plus) / stationary_rate(sb, sys.omega_minus)
+    assert abs(stationary_rate(sb, sys.channels[1]) / stationary_rate(sb, sys.channels[0])
                - 0.01) < 1e-12
     # definitionally 2 pi J
     w = 4.2
@@ -124,8 +124,8 @@ def test_oracle_matches_closed_form_grid():
     for case in ("a", "b"):
         sys, s = reference_case(case)
         # omega = 0 lies far below the peak: omega - x crosses zero frequency
-        omegas = [0.0, s.omega1 - 10 * s.lam, sys.omega_minus - 2 * sys.Omega,
-                  s.omega1, sys.omega_plus, s.omega1 + 10 * s.lam]
+        omegas = [0.0, s.omega1 - 10 * s.lam, sys.channels[0] - 2 * sys.Omega,
+                  s.omega1, sys.channels[1], s.omega1 + 10 * s.lam]
         for w in omegas:
             for t in (1e-3, 0.5 / s.lam, 2.0 / s.lam, 20.0 / s.lam, 300.0):
                 diff = abs(rate_quadrature_oracle(s, w, t)
@@ -135,7 +135,7 @@ def test_oracle_matches_closed_form_grid():
 
 def test_oracle_uses_no_closed_form(monkeypatch):
     sys, s = reference_case("b")
-    points = [(w, t) for w in (sys.omega_minus, sys.omega_plus)
+    points = [(w, t) for w in (sys.channels[0], sys.channels[1])
               for t in (0.1, 3.0, 40.0)]
     expected = [rate_closed_form(s, w, t) for w, t in points]
 
@@ -146,6 +146,20 @@ def test_oracle_uses_no_closed_form(monkeypatch):
         monkeypatch.setattr(spectral, name, forbidden)
     for (w, t), want in zip(points, expected):
         assert abs(rate_quadrature_oracle(s, w, t) - want) < 1e-6 * s.alpha
+
+
+@pytest.mark.parametrize("rate, t", [
+    (rate_closed_form, np.linspace(0.0, 40.0, 81)),
+    (accumulated_rate, np.linspace(0.0, 40.0, 81)),
+    (rate_quadrature_oracle, np.array([0.0, 0.7, 3.0])),
+], ids=["closed-form", "accumulated", "oracle"])
+def test_channel_axis_matches_per_channel_calls(rate, t):
+    # one call over the (2, 1) channel axis against a time grid gives the
+    # same bits as one scalar call per channel and time
+    sys, s = reference_case("b")
+    got = rate(s, sys.channels[:, None], t)
+    want = [[rate(s, w, u) for u in t.tolist()] for w in sys.channels.tolist()]
+    np.testing.assert_array_equal(got, want)
 
 
 def test_oracle_generic_spectrum():
@@ -177,7 +191,7 @@ def accumulated_rate_by_quadrature(s, omega, t):
 def test_accumulated_rate_quadrature_mode_agrees():
     for case in ("a", "b"):
         sys, s = reference_case(case)
-        for w in (sys.omega_minus, sys.omega_plus):
+        for w in (sys.channels[0], sys.channels[1]):
             for t in (0.7, 5.0, 33.0):
                 closed = accumulated_rate(s, w, t)
                 quad = accumulated_rate_by_quadrature(s, w, t)
@@ -190,9 +204,9 @@ def test_accumulated_rate_asymptotic_slope():
     for case in ("a", "b"):
         sys, s = reference_case(case)
         h, t = 0.25, 30.0 / s.lam
-        slope = (accumulated_rate(s, sys.omega_plus, t + h)
-                 - accumulated_rate(s, sys.omega_plus, t - h)) / (2 * h)
-        assert abs(slope - stationary_rate(s, sys.omega_plus)) < 1e-8 * s.alpha
+        slope = (accumulated_rate(s, sys.channels[1], t + h)
+                 - accumulated_rate(s, sys.channels[1], t - h)) / (2 * h)
+        assert abs(slope - stationary_rate(s, sys.channels[1])) < 1e-8 * s.alpha
 
 
 def test_accumulated_rate_monotone_where_rate_nonnegative():
