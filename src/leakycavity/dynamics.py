@@ -218,7 +218,7 @@ def evolve_master_equation(sys, rates, t_grid):
 
     ``rates(t) -> (gamma_minus, gamma_plus)``, a pair or a length-2 array,
     weights the channel generators;
-    ``ode_solve`` integrates it by RK45 at the tolerances fixed in numerics
+    ``ode_solve`` integrates it by DOP853 at the tolerances fixed in numerics
     (relative 1e-10, absolute 1e-12).
     """
     ts = _as_time_grid(t_grid)

@@ -2,7 +2,7 @@
 
 A Fourier-sine tail integral (QUADPACK via scipy), composite Gauss-Legendre
 panels on [0, b] for smooth oscillatory windows, cumulative integrals on
-sample grids, and an adaptive RK45 propagator with dense output.
+sample grids, and an adaptive DOP853 propagator with dense output.
 All functions are pure; there is no shared mutable state.  The
 propagator's tolerances and step budget are constants of this module;
 the quadrature's are arguments, set by each caller.  scipy is imported
@@ -127,13 +127,13 @@ def cumulative_integral(t, values):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-_ODE_RTOL = 1e-10           # RK45 local error control, relative
+_ODE_RTOL = 1e-10           # DOP853 local error control, relative
 _ODE_ATOL = 1e-12           # and absolute
 _ODE_MAX_STEPS = 1_000_000  # accepted steps per call; more raise OdeSolveError
 
 
 def ode_solve(deriv, state0, t_grid):
-    """Propagate state0 along t_grid with an adaptive RK45 pair.
+    """Propagate state0 along t_grid with the adaptive DOP853 method.
 
     ``deriv(t, y) -> dy/dt`` may be real or complex valued; local error
     is controlled by _ODE_RTOL / _ODE_ATOL (relative 1e-10, absolute
@@ -154,14 +154,13 @@ def ode_solve(deriv, state0, t_grid):
     out[0] = y0
     if ts.size == 1:
         return out
-    from scipy.integrate import RK45
+    from scipy.integrate import DOP853
 
     # the last step is clamped to t_bound, so a finished solver has filled the grid
-    solver = RK45(deriv, ts[0], y0, t_bound=ts[-1], rtol=_ODE_RTOL, atol=_ODE_ATOL)
-    # a NaN first step would make RK45 reject steps forever inside one step()
+    solver = DOP853(deriv, ts[0], y0, t_bound=ts[-1], rtol=_ODE_RTOL, atol=_ODE_ATOL)
+    # a NaN first step would make DOP853 reject steps forever inside one step()
     if not np.all(np.isfinite(solver.f)):
         raise OdeSolveError(f"non-finite derivative at t={ts[0]:g}", last_t=ts[0])
-    idx = 1
     for n in range(_ODE_MAX_STEPS):
         if n == _ODE_MAX_STEPS // 100 and solver.t - ts[0] < 0.01 * (ts[-1] - ts[0]):
             raise OdeSolveError(f"step budget {_ODE_MAX_STEPS} would run out: {n} steps "
@@ -171,11 +170,10 @@ def ode_solve(deriv, state0, t_grid):
         # on failure solver.t is still the last accepted time
         if solver.status == "failed":
             raise OdeSolveError("step size underflow", last_t=solver.t)
-        if ts[idx] <= solver.t:
-            dense = solver.dense_output()
-            while idx < ts.size and ts[idx] <= solver.t:
-                out[idx] = dense(ts[idx])
-                idx += 1
-            if idx == ts.size:
+        # the grid points in (t_old, t], from one call of this step's interpolant
+        start, end = np.searchsorted(ts, (solver.t_old, solver.t), side="right")
+        if end > start:
+            out[start:end] = solver.dense_output()(ts[start:end]).T
+            if end == ts.size:
                 return out
     raise OdeSolveError(f"step budget {_ODE_MAX_STEPS} exhausted", last_t=solver.t)

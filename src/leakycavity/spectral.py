@@ -61,7 +61,7 @@ def spectral_density(s, omega):
 
 
 def _check_nonnegative_time(t):
-    if np.any(np.asarray(t) < 0.0):
+    if (np.asarray(t) < 0.0).any():
         raise ValueError("t must be nonnegative")
 
 
@@ -120,6 +120,8 @@ def rate_quadrature_oracle(s, omega, t):
 
 def _oracle_point(s, omega, t):
     """rate_quadrature_oracle at one float omega and one float t >= 0."""
+    if s.lam * s.lam == 0.0:  # J(omega1) reads 0/0: NaN, as in the closed forms
+        return np.nan
     if t == 0.0:
         return 0.0
     R = abs(s.omega1 - omega) + _WINDOW_HALFWIDTHS * s.lam

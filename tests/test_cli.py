@@ -192,7 +192,7 @@ def test_evolve_tcl_ode_with_oracle_rates_matches_analytic(capsys):
 @pytest.mark.parametrize("lam", ["1e-300", "1e200"])
 def test_tcl_ode_with_nan_initial_rate_is_one_numerical_error_line(lam):
     # lam*lam underflows to 0 (the resonant rate reads 0/0) or overflows
-    # (inf/inf), so the derivative at t = 0 is NaN, which once left RK45
+    # (inf/inf), so the derivative at t = 0 is NaN, which would leave DOP853
     # rejecting steps forever; the timeout turns such a hang into a failure
     proc = subprocess.run(
         [sys.executable, "-m", "leakycavity.cli", "evolve", "--config", os.devnull,
@@ -203,21 +203,21 @@ def test_tcl_ode_with_nan_initial_rate_is_one_numerical_error_line(lam):
     assert proc.stderr == "error: numerical: non-finite derivative at t=0\n"
 
 
-@pytest.mark.parametrize("settings", [
-    ["solver.mode=tcl-ode", "evolve.t_max=1e300"],
-    ["solver.mode=phenomenological", "solver.kappa=1e300"],
+@pytest.mark.parametrize("settings, message", [
+    (["solver.mode=tcl-ode", "evolve.t_max=1e300"], "under 1% of the span"),
+    (["solver.mode=phenomenological", "solver.kappa=1e300"], "step size underflow"),
 ], ids=["tcl-ode-horizon", "phenomenological-stiff"])
-def test_hopeless_ode_horizon_is_one_numerical_error_line(settings):
-    # 1% of the step budget covers under 1% of either span, so the ODE
-    # stops in seconds; the timeout turns spending the whole budget into a
-    # failure
+def test_hopeless_ode_horizon_is_one_numerical_error_line(settings, message):
+    # 1% of the step budget covers under 1% of the tcl-ode span, and a rate
+    # of 1e300 shrinks DOP853's step below its floor, so the ODE stops in
+    # seconds; the timeout turns spending the whole budget into a failure
     proc = subprocess.run(
         [sys.executable, "-m", "leakycavity.cli", "evolve", "--config", os.devnull,
          "--set", "evolve.n_output=3", *(a for kv in settings for a in ("--set", kv))],
         env=_child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: numerical: ")
-    assert "under 1% of the span" in proc.stderr and proc.stderr.count("\n") == 1
+    assert message in proc.stderr and proc.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------- rates
@@ -237,6 +237,17 @@ def test_rates_quadrature_emits_oracle_columns(tmp_path, capsys):
     alpha = 0.1
     assert np.max(np.abs(rows[1:, 3] - rows[1:, 1])) < 1e-6 * alpha
     assert np.max(np.abs(rows[1:, 4] - rows[1:, 2])) < 1e-6 * alpha
+
+
+def test_rates_oracle_with_underflowing_width_is_the_finite_check_line(capsys):
+    # lam*lam underflows to 0, so J reads 0/0 at its peak: the oracle gives
+    # NaN there like the closed form, not a bare Python ZeroDivisionError
+    code, out, err = run_cli(
+        ["rates", "--config", os.devnull, "--set", "rates.mode=quadrature",
+         "--set", "reservoir.lambda=1e-300", "--set", "evolve.n_output=3",
+         "--set", "evolve.t_max=1"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: numerical: non-finite values in the rates table\n"
 
 
 def test_rates_closed_form_only_columns(tmp_path, capsys):

@@ -199,6 +199,25 @@ def test_tcl_ode_makes_one_rate_call_per_rhs_evaluation(monkeypatch):
     assert np.max(np.abs(got.states - evolve_analytic(sys, s, ts).states)) < 1e-8
 
 
+def test_tcl_ode_case_b_to_t100_makes_under_6000_rhs_calls(monkeypatch):
+    # case b to t = 100 on 2001 points: DOP853 makes about 4200 right-hand-side
+    # calls where the fifth-order RK45 made 15518
+    sys, s = reference_case("b")
+    calls = {"rhs": 0}
+
+    def counting_ode_solve(deriv, state0, t_grid):
+        def counted(t, y):
+            calls["rhs"] += 1
+            return deriv(t, y)
+        return ode_solve(counted, state0, t_grid)
+
+    monkeypatch.setattr(dynamics, "ode_solve", counting_ode_solve)
+    ts = np.linspace(0.0, 100.0, 2001)
+    got = evolve_tcl_ode(sys, s, ts)
+    assert 0 < calls["rhs"] < 6000
+    assert np.max(np.abs(got.states - evolve_analytic(sys, s, ts).states)) < 1e-8
+
+
 def test_ode_rates_forced_to_zero_gives_rabi_oscillation():
     sys, s = reference_case("a")
     ts = np.linspace(0.0, 12.0, 241)

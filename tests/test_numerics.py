@@ -146,6 +146,42 @@ def test_ode_dense_output_fills_grid():
     assert out.shape == (1, 2) and np.array_equal(out[0], [1.0, 2.0])
 
 
+def test_ode_fills_each_grid_point_once_from_the_step_that_covers_it(monkeypatch):
+    import scipy.integrate
+    ends, filled = [], []
+
+    class Recording(scipy.integrate.DOP853):
+        def step(self):
+            super().step()
+            ends.append(self.t)
+
+        def dense_output(self):
+            dense, t_old, t_new = super().dense_output(), self.t_old, self.t
+
+            def recorded(t):
+                assert np.all((t_old <= t) & (t <= t_new))
+                filled.append(t)
+                return dense(t)
+            return recorded
+
+    monkeypatch.setattr(scipy.integrate, "DOP853", Recording)
+
+    def deriv(t, y):
+        return np.cos(t) * np.ones_like(y)
+
+    # the steps do not depend on the output grid, so a first run finds an
+    # interior step end for the second, much finer grid to contain
+    ode_solve(deriv, np.array([0.0]), np.array([0.0, 10.0]))
+    t_end = ends[len(ends) // 2]
+    ts = np.union1d(np.linspace(0.0, 10.0, 10001), [t_end])
+    ends.clear()
+    filled.clear()
+    out = ode_solve(deriv, np.array([0.0]), ts)
+    assert np.array_equal(np.concatenate(filled), ts[1:])
+    assert len(filled) <= len(ends) and any(t[-1] == t_end for t in filled)
+    assert np.max(np.abs(out[:, 0] - np.sin(ts))) < 1e-9
+
+
 def test_ode_step_failure_reports_last_time():
     # y' = y^2 from y(0)=1 blows up at t=1
     def deriv(t, y):
@@ -169,7 +205,7 @@ except OdeSolveError as exc:
 
 
 def test_ode_nonfinite_initial_derivative_raises_at_once():
-    # a NaN first derivative makes a NaN first step, which RK45 would reject
+    # a NaN first derivative makes a NaN first step, which DOP853 would reject
     # forever inside one step(); the timeout turns such a hang into a failure
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -188,8 +224,8 @@ def test_ode_step_budget_exhausted(monkeypatch):
 
 
 def test_ode_hopeless_horizon_raises_after_one_percent_of_the_budget(monkeypatch):
-    # y' = cos t keeps RK45's step near 0.08: 1% of a 10000-step budget
-    # reaches t ~ 8, under 1% of a 1e6 span, so the whole budget could not
+    # y' = cos t keeps DOP853's step near 0.43: 1% of a 10000-step budget
+    # reaches t ~ 43, under 1% of a 1e6 span, so the whole budget could not
     # get there; the solver stops at once instead of spending it
     monkeypatch.setattr(numerics, "_ODE_MAX_STEPS", 10_000)
     calls = []
@@ -201,8 +237,8 @@ def test_ode_hopeless_horizon_raises_after_one_percent_of_the_budget(monkeypatch
     with pytest.raises(OdeSolveError, match="under 1% of the span") as err:
         ode_solve(deriv, np.array([0.0]), np.array([0.0, 1e6]))
     assert 0.0 < err.value.last_t < 1e4
-    # RK45 spends six evaluations per step: 100 steps, not the budget's 10000
-    assert len(calls) < 1000
+    # DOP853 spends twelve evaluations per step: 100 steps, not the budget's 10000
+    assert len(calls) < 2000
     # a span that the same pace covers within the budget still succeeds
     ts = np.linspace(0.0, 500.0, 6)
     out = ode_solve(deriv, np.array([0.0]), ts)
