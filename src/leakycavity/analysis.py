@@ -108,6 +108,8 @@ def detect_plateau(t, P, osc_period):
         return _no_plateau("series too short to cover the smoothing window "
                            "plus the minimum duration")
     tc, S = _smooth_oscillation(t, P, osc_period)
+    if tc.size < 2:  # a grid this coarse leaves the second average no interior
+        return _no_plateau("grid too coarse: under 2 samples after smoothing")
     dS = np.gradient(S, tc)
     rel_per_period = np.abs(dS) * osc_period / np.maximum(S, 1e-300)
     ok = (rel_per_period < _PLATEAU_SLOPE_TOL) & (S > 0.0)

@@ -176,12 +176,14 @@ def _as_time_grid(t_grid):
     return ts
 
 
+def _trajectory(ts, states):
+    return Trajectory(times=ts, states=states, **populations(states))
+
+
 def evolve_analytic(sys, s, t_grid):
     """Trajectory from the closed-form solution, rates accumulated analytically."""
     ts = _as_time_grid(t_grid)
-    I_m, I_p = accumulated_rate(s, sys.channels[:, None], ts)
-    states = rho_analytic(sys, I_m, I_p, ts)
-    return Trajectory(times=ts, states=states, **populations(states))
+    return _trajectory(ts, rho_analytic(sys, *accumulated_rate(s, sys.channels[:, None], ts), ts))
 
 
 # Hermitian 3x3 states (over leading axes) as real 9-vectors: the diagonal,
@@ -217,9 +219,8 @@ def evolve_master_equation(sys, rates, t_grid):
     """Propagate the master equation as a 9-real-dimensional linear ODE.
 
     ``rates(t) -> (gamma_minus, gamma_plus)``, a pair or a length-2 array,
-    weights the channel generators;
-    ``ode_solve`` integrates it by DOP853 at the tolerances fixed in numerics
-    (relative 1e-10, absolute 1e-12).
+    weights the channel generators, and ``ode_solve`` integrates it by DOP853
+    (relative 1e-10, absolute 1e-12).  evolve_tcl_ode is its one caller in the package.
     """
     ts = _as_time_grid(t_grid)
     G0, G_m, G_p = _generator(sys)
@@ -228,9 +229,7 @@ def evolve_master_equation(sys, rates, t_grid):
         g_m, g_p = rates(t)
         return (G0 + g_m * G_m + g_p * G_p) @ y
 
-    y = ode_solve(rhs, _pack(initial_state_atom_excited()), ts)
-    states = _unpack(y)
-    return Trajectory(times=ts, states=states, **populations(states))
+    return _trajectory(ts, _unpack(ode_solve(rhs, _pack(initial_state_atom_excited()), ts)))
 
 
 def evolve_tcl_ode(sys, s, t_grid, rate=rate_closed_form):
@@ -251,8 +250,9 @@ def evolve_phenomenological(sys, kappa, t_grid):
     This is the textbook single-rate cavity-loss model.  Equal rates keep
     P_- = P_+ at all times for the initial state here, so the mechanism
     that traps population (one channel starving while the other drains)
-    is absent by construction.
+    is absent by construction.  rho_analytic at I_-+ = kappa t is exact.
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    return evolve_master_equation(sys, lambda t: (kappa, kappa), t_grid)
+    ts = _as_time_grid(t_grid)
+    return _trajectory(ts, rho_analytic(sys, kappa * ts, kappa * ts, ts))

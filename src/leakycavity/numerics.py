@@ -4,10 +4,10 @@ A Fourier-sine tail integral (QUADPACK via scipy), composite Gauss-Legendre
 panels on [0, b] for smooth oscillatory windows, cumulative integrals on
 sample grids, and an adaptive DOP853 propagator with dense output.
 All functions are pure; there is no shared mutable state.  The
-propagator's tolerances and step budget are constants of this module;
+propagator's tolerances and call budget are constants of this module;
 the quadrature's are arguments, set by each caller.  scipy is imported
 inside the two functions that use it, so the closed-form paths (figures,
-sweep, analytic evolution) never pay for loading it.
+sweep, analytic and single-rate evolution) never pay for loading it.
 """
 
 from functools import lru_cache
@@ -129,7 +129,7 @@ def cumulative_integral(t, values):
 
 _ODE_RTOL = 1e-10           # DOP853 local error control, relative
 _ODE_ATOL = 1e-12           # and absolute
-_ODE_MAX_STEPS = 1_000_000  # accepted steps per call; more raise OdeSolveError
+_ODE_MAX_NFEV = 1_000_000   # right-hand-side calls per call; more raise OdeSolveError
 
 
 def ode_solve(deriv, state0, t_grid):
@@ -141,8 +141,8 @@ def ode_solve(deriv, state0, t_grid):
     (requested times are filled from dense output).  Returns an array of
     shape (len(t_grid), len(state0)).  Raises OdeSolveError, carrying the
     last good time, on a non-finite derivative at t_grid[0], on step
-    failure, after _ODE_MAX_STEPS steps, or as soon as 1% of that budget
-    has covered under 1% of the grid's span, a pace that would exhaust it.
+    failure, after _ODE_MAX_NFEV right-hand-side calls, or once 1% of that
+    budget has covered under 1% of the grid's span, a pace that would exhaust it.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
@@ -161,11 +161,11 @@ def ode_solve(deriv, state0, t_grid):
     # a NaN first step would make DOP853 reject steps forever inside one step()
     if not np.all(np.isfinite(solver.f)):
         raise OdeSolveError(f"non-finite derivative at t={ts[0]:g}", last_t=ts[0])
-    for n in range(_ODE_MAX_STEPS):
-        if n == _ODE_MAX_STEPS // 100 and solver.t - ts[0] < 0.01 * (ts[-1] - ts[0]):
-            raise OdeSolveError(f"step budget {_ODE_MAX_STEPS} would run out: {n} steps "
-                                f"reached t={solver.t:g}, under 1% of the span to t={ts[-1]:g}",
-                                last_t=solver.t)
+    while solver.nfev < _ODE_MAX_NFEV:
+        if solver.nfev >= _ODE_MAX_NFEV // 100 and solver.t - ts[0] < 0.01 * (ts[-1] - ts[0]):
+            raise OdeSolveError(f"budget of {_ODE_MAX_NFEV} RHS calls would run out: "
+                                f"{solver.nfev} calls reached t={solver.t:g}, under 1% of "
+                                f"the span to t={ts[-1]:g}", last_t=solver.t)
         solver.step()
         # on failure solver.t is still the last accepted time
         if solver.status == "failed":
@@ -176,4 +176,4 @@ def ode_solve(deriv, state0, t_grid):
             out[start:end] = solver.dense_output()(ts[start:end]).T
             if end == ts.size:
                 return out
-    raise OdeSolveError(f"step budget {_ODE_MAX_STEPS} exhausted", last_t=solver.t)
+    raise OdeSolveError(f"budget of {_ODE_MAX_NFEV} RHS calls exhausted", last_t=solver.t)

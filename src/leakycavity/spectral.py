@@ -120,11 +120,13 @@ def rate_quadrature_oracle(s, omega, t):
 
 def _oracle_point(s, omega, t):
     """rate_quadrature_oracle at one float omega and one float t >= 0."""
-    if s.lam * s.lam == 0.0:  # J(omega1) reads 0/0: NaN, as in the closed forms
+    omega, t = float(omega), float(t)  # plain float arithmetic, whatever the caller passes
+    R = abs(s.omega1 - omega) + _WINDOW_HALFWIDTHS * s.lam
+    # J(omega1) reads 0/0, or the detuning overflows: NaN, as in the closed forms
+    if s.lam * s.lam == 0.0 or R == np.inf:
         return np.nan
     if t == 0.0:
         return 0.0
-    R = abs(s.omega1 - omega) + _WINDOW_HALFWIDTHS * s.lam
 
     def folded(x):
         return spectral_density(s, omega + x) + spectral_density(s, omega - x)
@@ -134,10 +136,13 @@ def _oracle_point(s, omega, t):
     window = panel_gauss(lambda x: folded(x) * 2.0 * t * np.sinc(x * t / np.pi), R, width)
     # QUADPACK refuses a zero absolute tolerance for a Fourier integral, and
     # 1e-12 * alpha underflows to it for a subnormal alpha
-    tail = adaptive_quadrature(lambda x: 2.0 * folded(x) / x, R, t,
-                               rel_tol=1e-10,
-                               abs_tol=max(1e-12 * s.alpha, np.finfo(float).tiny),
-                               limit=_TAIL_LIMIT)
+    try:
+        tail = adaptive_quadrature(lambda x: 2.0 * folded(x) / x, R, t,
+                                   rel_tol=1e-10,
+                                   abs_tol=max(1e-12 * s.alpha, np.finfo(float).tiny),
+                                   limit=_TAIL_LIMIT)
+    except ZeroDivisionError:  # R far below a cycle: QAWF rounds a node onto x = 0
+        return np.nan
     return window + tail
 
 

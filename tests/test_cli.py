@@ -205,12 +205,12 @@ def test_tcl_ode_with_nan_initial_rate_is_one_numerical_error_line(lam):
 
 @pytest.mark.parametrize("settings, message", [
     (["solver.mode=tcl-ode", "evolve.t_max=1e300"], "under 1% of the span"),
-    (["solver.mode=phenomenological", "solver.kappa=1e300"], "step size underflow"),
-], ids=["tcl-ode-horizon", "phenomenological-stiff"])
+    (["solver.mode=tcl-ode", "reservoir.alpha=1e300"], "step size underflow"),
+], ids=["tcl-ode-horizon", "tcl-ode-stiff"])
 def test_hopeless_ode_horizon_is_one_numerical_error_line(settings, message):
-    # 1% of the step budget covers under 1% of the tcl-ode span, and a rate
-    # of 1e300 shrinks DOP853's step below its floor, so the ODE stops in
-    # seconds; the timeout turns spending the whole budget into a failure
+    # 1% of the RHS-call budget covers under 1% of the first span, and rates
+    # of order 1e300 shrink DOP853's step below its floor, so the ODE stops
+    # in about a second; the timeout turns spending the budget into a failure
     proc = subprocess.run(
         [sys.executable, "-m", "leakycavity.cli", "evolve", "--config", os.devnull,
          "--set", "evolve.n_output=3", *(a for kv in settings for a in ("--set", kv))],
@@ -218,6 +218,18 @@ def test_hopeless_ode_horizon_is_one_numerical_error_line(settings, message):
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: numerical: ")
     assert message in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_phenomenological_at_huge_kappa_puts_the_atom_in_g(capsys):
+    # the closed form has no step to underflow: every state after t = 0 is |E0>
+    code, out, err = run_cli(
+        ["evolve", "--config", os.devnull, "--set", "solver.mode=phenomenological",
+         "--set", "solver.kappa=1e300", "--set", "evolve.n_output=3"], capsys)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    assert rows.shape == (3, 11) and np.all(np.isfinite(rows))
+    assert rows[0, header.index("P_E0")] == 0.0
+    assert np.all(rows[1:, header.index("P_E0")] == 1.0)
 
 
 # ---------------------------------------------------------------- rates
@@ -359,6 +371,19 @@ def test_sweep_reports_no_plateau_shorter_than_ten_periods(tmp_path, capsys):
     assert rows.shape == (4, 5)
     assert np.all(rows[:, 2] == 0.0)
     assert np.all(np.isnan(rows[:, 3:]))
+
+
+@pytest.mark.parametrize("n_output", [4, 5])
+def test_sweep_on_a_grid_too_coarse_to_smooth_reports_no_plateau(capsys, n_output):
+    # the two one-period averages leave under 2 samples of a 4- or 5-point
+    # grid, too few for a slope
+    code, out, err = run_cli(
+        ["sweep", "--config", os.devnull, "--set", f"evolve.n_output={n_output}",
+         "--param", "lambda", "--from", "0.3", "--to", "0.3", "--steps", "1"], capsys)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert rows.shape == (1, 5) and rows[0, 2] == 0.0
+    assert np.all(np.isnan(rows[0, 3:]))
 
 
 def test_sweep_bad_range_is_config_error(tmp_path, capsys):
@@ -554,6 +579,22 @@ def test_quadpack_warning_is_one_numerical_error_line(capsys):
     assert err.count("\n") == 1
 
 
+def test_rates_oracle_with_overflowing_detuning_is_the_finite_check_line(capsys):
+    # lam = 1e-160 puts the lower channel's window end R far below QAWF's first
+    # cycle, whose end node rounds onto x = 0 where the tail divides by x; the
+    # upper channel's detuning overflows to inf.  Both are NaN, as in the
+    # closed-form columns, not a bare ZeroDivisionError or a panel-budget error
+    code, out, err = run_cli(
+        ["rates", "--config", os.devnull, "--set", "rates.mode=quadrature",
+         "--set", "evolve.n_output=2", "--set", "system.Omega=1.7e+308",
+         "--set", "reservoir.alpha=1e+300", "--set", "system.omega0=3.0",
+         "--set", "reservoir.lambda=1e-160"], capsys)
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == "error: numerical: non-finite values in the rates table"
+    assert len(lines) == 2 and lines[1].startswith("warning: Omega/omega0")
+
+
 def test_oracle_at_subnormal_alpha_runs(capsys):
     # 1e-12 * alpha underflows to 0, an absolute tolerance QUADPACK refuses
     # for a Fourier tail; the oracle floors it instead
@@ -576,6 +617,8 @@ assert main(["figures", "--id", "3", "--case", "b",
              "--set", f"output.path={out}/fig.csv"]) == 0
 assert main(["sweep", "--config", cfg, "--param", "lambda", "--from", "0.2",
              "--to", "1.0", "--steps", "3", "--set", f"output.path={out}/sweep.csv"]) == 0
+assert main(["evolve", "--config", cfg, "--set", "solver.mode=phenomenological",
+             "--set", "solver.kappa=0.1", "--set", f"output.path={out}/single.csv"]) == 0
 assert "scipy" not in sys.modules, "the analytic commands loaded scipy"
 assert main(["evolve", "--config", cfg, "--set", "solver.mode=tcl-ode",
              "--set", "evolve.t_max=5", "--set", "evolve.n_output=51",
@@ -599,7 +642,7 @@ def test_analytic_commands_never_import_scipy(tmp_path):
         env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    for name in ("fig.csv", "sweep.csv", "ode.csv"):
+    for name in ("fig.csv", "sweep.csv", "single.csv", "ode.csv"):
         assert (tmp_path / name).stat().st_size > 0
 
 

@@ -332,6 +332,19 @@ def test_phenomenological_rejects_negative_kappa():
         evolve_phenomenological(sys, -0.1, np.linspace(0.0, 1.0, 5))
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.1, 1.0])
+def test_phenomenological_closed_form_matches_the_master_equation_ode(kappa):
+    # the closed form against the ODE route on the same constant rates,
+    # within criterion 04's bound
+    sys, _ = reference_case("a")
+    ts = np.linspace(0.0, 50.0, 501)
+    got = evolve_phenomenological(sys, kappa, ts)
+    ode = evolve_master_equation(sys, lambda t: (kappa, kappa), ts)
+    assert np.max(np.abs(got.states - ode.states)) < 1e-8
+    for P in (got.P_minus, got.P_plus):
+        assert np.max(np.abs(P - 0.5 * np.exp(-0.5 * kappa * ts))) < 1e-15
+
+
 def test_positivity_monitor_reports_without_crashing():
     # narrow reservoir, negative-rate transient: the monitor may go slightly
     # negative but must stay at solver-tolerance scale

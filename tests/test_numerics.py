@@ -217,17 +217,28 @@ def test_ode_nonfinite_initial_derivative_raises_at_once():
 
 
 def test_ode_step_budget_exhausted(monkeypatch):
-    monkeypatch.setattr(numerics, "_ODE_MAX_STEPS", 3)
-    with pytest.raises(OdeSolveError) as err:
-        ode_solve(lambda t, y: -y, np.array([1.0]), np.array([0.0, 100.0]))
-    assert err.value.last_t < 100.0
+    # y' = cos(t^2) oscillates ever faster, so the steps shrink: 1% of a
+    # 20000-call budget covers more than 1% of [0, 100], but the whole
+    # budget runs out near t = 30
+    monkeypatch.setattr(numerics, "_ODE_MAX_NFEV", 20_000)
+    calls = []
+
+    def deriv(t, y):
+        calls.append(t)
+        return np.cos(t * t) * np.ones_like(y)
+
+    with pytest.raises(OdeSolveError, match="exhausted") as err:
+        ode_solve(deriv, np.array([0.0]), np.array([0.0, 100.0]))
+    assert 1.0 < err.value.last_t < 100.0
+    # the budget counts RHS calls; the last step may pass it by its own stages
+    assert 20_000 <= len(calls) < 20_100
 
 
 def test_ode_hopeless_horizon_raises_after_one_percent_of_the_budget(monkeypatch):
-    # y' = cos t keeps DOP853's step near 0.43: 1% of a 10000-step budget
-    # reaches t ~ 43, under 1% of a 1e6 span, so the whole budget could not
-    # get there; the solver stops at once instead of spending it
-    monkeypatch.setattr(numerics, "_ODE_MAX_STEPS", 10_000)
+    # y' = cos t keeps DOP853's step near 0.43 at twelve RHS calls a step:
+    # 1% of a 100000-call budget reaches t ~ 33, under 1% of a 1e7 span, so
+    # the whole budget could not get there; the solver stops at once
+    monkeypatch.setattr(numerics, "_ODE_MAX_NFEV", 100_000)
     calls = []
 
     def deriv(t, y):
@@ -235,10 +246,10 @@ def test_ode_hopeless_horizon_raises_after_one_percent_of_the_budget(monkeypatch
         return np.cos(t) * np.ones_like(y)
 
     with pytest.raises(OdeSolveError, match="under 1% of the span") as err:
-        ode_solve(deriv, np.array([0.0]), np.array([0.0, 1e6]))
-    assert 0.0 < err.value.last_t < 1e4
-    # DOP853 spends twelve evaluations per step: 100 steps, not the budget's 10000
-    assert len(calls) < 2000
+        ode_solve(deriv, np.array([0.0]), np.array([0.0, 1e7]))
+    assert 0.0 < err.value.last_t < 1e5
+    # 1% of the budget and at most one more step's calls, not the budget
+    assert 1000 <= len(calls) < 1100
     # a span that the same pace covers within the budget still succeeds
     ts = np.linspace(0.0, 500.0, 6)
     out = ode_solve(deriv, np.array([0.0]), ts)
