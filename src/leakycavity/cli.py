@@ -15,6 +15,7 @@ A warning, such as the rotating-wave one, is one 'warning:' stderr line.
 """
 
 import argparse
+import gc
 import os
 import sys
 import warnings
@@ -338,7 +339,10 @@ def main(argv=None):
 
 
 def console_main():
-    sys.exit(main())
+    code = main()
+    # interpreter teardown would otherwise run full GC passes over scipy's heap
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

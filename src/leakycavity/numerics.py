@@ -1,8 +1,9 @@
 """Integration utilities shared by the rate and dynamics modules.
 
-A Fourier-sine tail integral (QUADPACK via scipy), composite Gauss-Legendre
-panels on [0, b] for smooth oscillatory windows, cumulative integrals on
-sample grids, and an adaptive DOP853 propagator with dense output.
+A Fourier-sine tail integral (QUADPACK via scipy), a composite
+Gauss-Legendre rule on [0, b] handed out in bounded blocks for smooth
+oscillatory windows, cumulative integrals on sample grids, and an
+adaptive DOP853 propagator with dense output.
 All functions are pure; there is no shared mutable state.  The
 propagator's tolerances and call budget are constants of this module;
 the quadrature's are arguments, set by each caller.  scipy is imported
@@ -18,7 +19,7 @@ __all__ = [
     "QuadratureError",
     "OdeSolveError",
     "adaptive_quadrature",
-    "panel_gauss",
+    "panel_gauss_blocks",
     "cumulative_integral",
     "ode_solve",
 ]
@@ -65,7 +66,7 @@ def adaptive_quadrature(f, a, freq, rel_tol, abs_tol, limit):
     return estimate
 
 
-_PANEL_BLOCK = 4096     # panels per vectorized call of f: caps each node array
+_PANEL_BLOCK = 4096     # nodes per block of the rule: 256 panels of 16
 _PANEL_BUDGET = 2**20   # panels per integral; a finer split raises instead
 
 
@@ -74,14 +75,15 @@ def _gauss_rule():
     return np.polynomial.legendre.leggauss(16)
 
 
-def panel_gauss(f, b, max_width):
-    """Integral of f over [0, b]: composite 16-point Gauss-Legendre, capped panel width.
+def panel_gauss_blocks(b, max_width):
+    """Composite 16-point Gauss-Legendre rule on [0, b], as (nodes, weights) blocks.
 
-    ``f`` must accept an array of abscissae and return the values
-    elementwise; it is called on blocks of _PANEL_BLOCK panels, so memory
-    stays bounded however fine the split.  [0, b] is split into uniform
-    panels no wider than ``max_width``; more than _PANEL_BUDGET panels
-    raise QuadratureError before f is called.  Exact to rounding for
+    [0, b] is split into ceil(b / max_width) uniform panels, handed out in
+    increasing x as blocks of _PANEL_BLOCK nodes (the last may hold
+    fewer), so memory stays bounded however fine the split; the integral
+    of f is the sum over blocks of f(nodes) . weights.  The blocks depend
+    on b and the panel count alone.  More than _PANEL_BUDGET panels raise
+    QuadratureError here, before any node is built.  Exact to rounding for
     polynomials of degree <= 31 on a single panel; for smooth oscillatory
     integrands choose max_width below half the oscillation period.
     """
@@ -94,17 +96,21 @@ def panel_gauss(f, b, max_width):
         raise QuadratureError(
             f"panel quadrature needs {n:.3g} panels, above the budget of {_PANEL_BUDGET}",
             estimate=np.nan, error_bound=np.inf)
-    n = max(1, int(n))
+    return _panel_blocks(b, max(1, int(n)))
+
+
+def _panel_blocks(b, n):
     x, w = _gauss_rule()
-    bounds = np.linspace(0.0, b, n + 1)
-    mid = 0.5 * (bounds[1:] + bounds[:-1])
-    half = 0.5 * (bounds[1:] - bounds[:-1])
-    total = 0.0
-    for i in range(0, n, _PANEL_BLOCK):
-        m, h = mid[i:i + _PANEL_BLOCK, None], half[i:i + _PANEL_BLOCK, None]
-        nodes, weights = (m + h * x).ravel(), (h * w).ravel()
-        total += float(np.dot(np.asarray(f(nodes), dtype=float), weights))
-    return total
+    step = b / n
+    per = _PANEL_BLOCK // x.size
+    for i in range(0, n, per):
+        # the edges np.linspace(0, b, n + 1) would give, one block at a time
+        edges = np.arange(i, min(i + per, n) + 1) * step
+        if i + per >= n:
+            edges[-1] = b
+        mid = 0.5 * (edges[1:, None] + edges[:-1, None])
+        half = 0.5 * (edges[1:, None] - edges[:-1, None])
+        yield (mid + half * x).ravel(), (half * w).ravel()
 
 
 def cumulative_integral(t, values):

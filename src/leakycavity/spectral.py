@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import adaptive_quadrature, panel_gauss
+from .numerics import adaptive_quadrature, panel_gauss_blocks
 
 __all__ = [
     "LorentzianSpectrum",
@@ -90,6 +90,7 @@ def stationary_rate(s, omega):
 
 
 _WINDOW_HALFWIDTHS = 200  # K in the oracle docstring
+_WINDOW_ROWS = 16         # times per kernel block of 16 x _PANEL_BLOCK entries
 _TAIL_LIMIT = 200         # QUADPACK subdivisions for the Fourier tail
 
 
@@ -110,40 +111,72 @@ def rate_quadrature_oracle(s, omega, t):
     on [R, inf), to relative 1e-10 and absolute 1e-12 alpha within
     _TAIL_LIMIT subdivisions.  No use is made of the closed-form result;
     this is a test oracle, not a fast path.  Broadcasts over omega and t
-    like rate_closed_form, one quadrature per point in row-major order.
-    The window's panel count grows like t, and past panel_gauss's budget
-    (t above about 2.4e4 at lam = 1/3) the oracle raises QuadratureError.
+    like rate_closed_form.  The window [0, R] does not depend on t: per
+    distinct omega, every time with the same panel count shares one panel
+    set and its folded spectral weight, and the window is a sum of
+    sin(t x) against that weight, in blocks of 16 times by _PANEL_BLOCK
+    nodes.  A point's value does not depend on the rest of the batch.
+    The tail is one quadrature per point.  The panel count grows like t,
+    and past the budget of panel_gauss_blocks (t above about 2.4e4 at
+    lam = 1/3) the oracle raises QuadratureError before evaluating that
+    omega's window.
     """
     _check_nonnegative_time(t)
-    return np.vectorize(_oracle_point, otypes=[float], excluded={0})(s, omega, t)[()]
+    omega, t = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(t, dtype=float))
+    channels, which = np.unique(omega.ravel(), return_inverse=True)
+    which = which.reshape(omega.shape)
+    out = np.empty(omega.shape)
+    for k, w in enumerate(channels.tolist()):
+        at = which == k
+        out[at] = _oracle_channel(s, w, t[at])
+    return out[()]
 
 
-def _oracle_point(s, omega, t):
-    """rate_quadrature_oracle at one float omega and one float t >= 0."""
-    omega, t = float(omega), float(t)  # plain float arithmetic, whatever the caller passes
-    R = abs(s.omega1 - omega) + _WINDOW_HALFWIDTHS * s.lam
+def _oracle_channel(s, omega, t):
+    """rate_quadrature_oracle at one float omega over a 1-D array of times."""
+    # plain floats: the tail integrand runs once per QUADPACK node
+    d = float(s.omega1 - omega)
+    lam2 = float(s.lam * s.lam)  # a product overflows to inf where lam**2 would raise
+    c = float(s.alpha * lam2 / np.pi)  # 2 J(omega') = c / ((omega1 - omega')^2 + lam2)
+    R = abs(d) + _WINDOW_HALFWIDTHS * float(s.lam)
     # J(omega1) reads 0/0, or the detuning overflows: NaN, as in the closed forms
-    if s.lam * s.lam == 0.0 or R == np.inf:
-        return np.nan
-    if t == 0.0:
-        return 0.0
+    if lam2 == 0.0 or not R < np.inf:
+        return np.full(t.shape, np.nan)
 
-    def folded(x):
-        return spectral_density(s, omega + x) + spectral_density(s, omega - x)
+    def folded(x):  # 2 [J(omega+x) + J(omega-x)] / x, at a float or over an array
+        u, v = d - x, d + x
+        return (c / (u * u + lam2) + c / (v * v + lam2)) / x
 
-    width = min(s.lam / 2.0, 0.5 * np.pi / t)
-    # 2 sin(x t)/x with the removable singularity at x = 0
-    window = panel_gauss(lambda x: folded(x) * 2.0 * t * np.sinc(x * t / np.pi), R, width)
+    out = np.where(t > 0.0, 0.0, t)  # 0 at t = 0, NaN at a NaN time
+    rows = np.flatnonzero(t > 0.0)
+    # pi/(2t) overflows at a subnormal t, the count at t near the float
+    # maximum; an infinite count fails the budget check below
+    with np.errstate(over="ignore"):
+        width = np.minimum(s.lam / 2.0, 0.5 * np.pi / t[rows])
+        # the panel count panel_gauss_blocks derives from the same division
+        count = np.ceil(R / width)
+    # every budget is checked before any node is built
+    groups = [(rows[count == n], panel_gauss_blocks(R, float(width[count == n][0])))
+              for n in np.unique(count)]
+    for group, blocks in groups:
+        for x, w in blocks:
+            weight = folded(x) * w
+            for i in range(0, group.size, _WINDOW_ROWS):
+                r = group[i:i + _WINDOW_ROWS]
+                # a row-wise sum whose bits do not depend on how many rows
+                # there are, as a BLAS matrix-vector product's do
+                out[r] += np.einsum("ij,j->i", np.sin(np.multiply.outer(t[r], x)), weight)
+
     # QUADPACK refuses a zero absolute tolerance for a Fourier integral, and
     # 1e-12 * alpha underflows to it for a subnormal alpha
-    try:
-        tail = adaptive_quadrature(lambda x: 2.0 * folded(x) / x, R, t,
-                                   rel_tol=1e-10,
-                                   abs_tol=max(1e-12 * s.alpha, np.finfo(float).tiny),
-                                   limit=_TAIL_LIMIT)
-    except ZeroDivisionError:  # R far below a cycle: QAWF rounds a node onto x = 0
-        return np.nan
-    return window + tail
+    abs_tol = max(1e-12 * s.alpha, np.finfo(float).tiny)
+    for i in rows.tolist():
+        try:
+            out[i] += adaptive_quadrature(folded, R, float(t[i]), rel_tol=1e-10,
+                                          abs_tol=abs_tol, limit=_TAIL_LIMIT)
+        except ZeroDivisionError:  # R far below a cycle: QAWF rounds a node onto x = 0
+            out[i] = np.nan
+    return out
 
 
 def accumulated_rate(s, omega, t):

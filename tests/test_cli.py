@@ -673,3 +673,32 @@ def test_closed_stdout_is_one_config_error_line(argv, read_first, unbuffered):
     assert proc.returncode == 2
     assert err.decode() == ("error: config: cannot write output to stdout: "
                             "[Errno 32] Broken pipe\n")
+
+
+# The hook is registered before console_main, so it runs after its sys.exit,
+# at interpreter teardown, and sees the heap console_main froze.
+EXIT_HOOK_SCRIPT = """\
+import atexit, gc, sys
+from leakycavity.cli import console_main
+atexit.register(lambda: sys.stderr.write(f"atexit: {gc.get_freeze_count()} frozen\\n"))
+console_main()
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["rates", "--config", os.devnull, "--set", "rates.mode=quadrature",
+      "--set", "evolve.n_output=3", "--set", "evolve.t_max=2",
+      "--set", "output.precision=17"], 0),
+    (["rates", "--config", os.devnull, "--set", "nope.key=1"], 2),
+    (["nope"], 64),
+], ids=["quadrature-rates", "unknown-key", "unknown-subcommand"])
+def test_console_exit_runs_atexit_hooks_and_keeps_the_output(argv, expected, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == expected
+    proc = subprocess.run([sys.executable, "-c", EXIT_HOOK_SCRIPT, *argv],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == expected
+    assert proc.stdout == out
+    body, _, hook = proc.stderr.rpartition("atexit: ")
+    assert body == err
+    assert int(hook.split()[0]) > 0 and hook.endswith(" frozen\n")

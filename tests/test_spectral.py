@@ -1,7 +1,9 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from leakycavity import spectral
@@ -236,3 +238,63 @@ def test_oracle_at_huge_time_raises_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_oracle_at_overflowing_panel_count_is_the_budget_error():
+    # R / (pi / 2t) overflows to an infinite panel count: one error, no warning
+    _, s = reference_case("a")
+    with pytest.raises(QuadratureError, match="needs inf panels"):
+        rate_quadrature_oracle(s, s.omega1, 1e308)
+
+
+def test_oracle_window_at_large_time_stays_in_small_blocks():
+    # t = 2e4 at lam = 0.1 splits the window into ~2.5e5 panels, 4e6 nodes
+    s = LorentzianSpectrum(alpha=0.1, lam=0.1, omega1=99.5)
+    tracemalloc.start()
+    try:
+        value = rate_quadrature_oracle(s, s.omega1, 2e4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(value - rate_closed_form(s, s.omega1, 2e4)) < 1e-6 * s.alpha
+    assert peak < 2_000_000
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(log_lam=st.floats(-2.0, 0.0), offset=st.floats(-3.0, 3.0),
+       below=st.floats(0.1, 0.9), above=st.floats(1.5, 3.0),
+       more=st.lists(st.floats(0.1, 3.0), max_size=3))
+def test_oracle_point_does_not_depend_on_the_batch(log_lam, offset, below, above, more):
+    # times on both sides of pi/lam, where the window's panels stop being
+    # half a half-width wide and start to shrink like 1/t, so the batch
+    # holds at least two panel counts; t = 0 joins it
+    lam = 10.0**log_lam
+    s = LorentzianSpectrum(alpha=0.1, lam=lam, omega1=5.0)
+    t = np.array([0.0, below, above, *more]) * np.pi / lam
+    omegas = s.omega1 + np.array([offset, -0.5 * offset])
+    got = rate_quadrature_oracle(s, omegas[:, None], t)
+    want = [[rate_quadrature_oracle(s, w, u) for u in t.tolist()] for w in omegas.tolist()]
+    np.testing.assert_array_equal(got, want)
+
+
+def gamma_50_digits(s, omega, t):
+    """The closed-form rate evaluated in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        d = mpmath.mpf(s.omega1) - mpmath.mpf(omega)
+        lam, t = mpmath.mpf(s.lam), mpmath.mpf(t)
+        k = mpmath.mpf(s.alpha) * lam**2 / (d**2 + lam**2)
+        return k * (1 + ((d / lam) * mpmath.sin(d * t) - mpmath.cos(d * t))
+                    * mpmath.exp(-lam * t))
+
+
+@pytest.mark.xfail(strict=True, reason="below t ~ 2e-7 QAWF returns a Fourier tail "
+                   "thousands of times too small and reports success")
+def test_oracle_relative_accuracy_at_tiny_time():
+    errors = []
+    for case in ("a", "b"):
+        sys, s = reference_case(case)
+        for w in sys.channels.tolist():
+            for t in (1e-9, 1e-8):
+                exact = gamma_50_digits(s, w, t)
+                errors.append(float(abs((rate_quadrature_oracle(s, w, t) - exact) / exact)))
+    assert max(errors) <= 1e-8
