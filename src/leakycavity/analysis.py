@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, evolve_analytic
-from .numerics import cumulative_integral
 from .spectral import LorentzianSpectrum, rate_closed_form, stationary_rate
 
 __all__ = [
@@ -26,14 +25,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrappingReport:
-    """Longest slow-drift interval of a population series.
+    """Longest slow-drift interval of a non-oscillating population series.
 
     ``detected`` is True only when that interval lasts at least the
-    minimum duration; ``trapped_value`` is then the mean of the
-    oscillation-smoothed series over the interval (a trapped population
-    still leaks slowly, so the window mean is the honest number).
-    Otherwise the start and end are NaN, ``trapped_value`` is 0 and
-    ``note`` says why nothing qualified.
+    minimum duration; ``trapped_value`` is then the mean of the series
+    over the interval (a trapped population still leaks slowly, so the
+    window mean is the honest number).  Otherwise the start and end are
+    NaN, ``trapped_value`` is 0 and ``note`` says why nothing qualified.
     """
 
     plateau_start: float
@@ -42,35 +40,6 @@ class TrappingReport:
     detected: bool
     slope_at_plateau: float
     note: str = ""
-
-
-def _boxcar_one_period(t, P, period):
-    """Centered moving average over exactly one period, on the interior grid.
-
-    Uses the cumulative integral and linear interpolation so the window
-    is exactly [t - T/2, t + T/2] regardless of how the grid divides the
-    period; a pure oscillation at that period is removed to interpolation
-    error rather than to a sampling remainder.
-    """
-    C = cumulative_integral(t, P)
-    inner = (t >= t[0] + 0.5 * period) & (t <= t[-1] - 0.5 * period)
-    tc = t[inner]
-    S = (np.interp(tc + 0.5 * period, t, C)
-         - np.interp(tc - 0.5 * period, t, C)) / period
-    return tc, S
-
-
-def _smooth_oscillation(t, P, period):
-    """Two cascaded one-period averages.
-
-    A single pass cancels a constant-amplitude oscillation exactly but
-    leaks a decaying one at first order in (decay rate x period), and the
-    leaked term's time derivative easily dominates the slope of a slow
-    plateau.  The second pass multiplies the leakage by the same small
-    factor again, leaving the plateau slope clean.
-    """
-    t1, S1 = _boxcar_one_period(t, P, period)
-    return _boxcar_one_period(t1, S1, period)
 
 
 _PLATEAU_SLOPE_TOL = 0.05    # relative drift per oscillation period
@@ -84,13 +53,13 @@ def _no_plateau(note):
 
 
 def detect_plateau(t, P, osc_period):
-    """Find the longest interval where the smoothed series drifts slowly.
+    """Find the longest interval where a non-oscillating series drifts slowly.
 
-    The series is passed through two cascaded one-period averages to
-    strip the Rabi oscillation (including the residual its decaying
-    envelope leaves after a single pass), then the relative change per
-    period |S'/S|*osc_period is compared against _PLATEAU_SLOPE_TOL;
-    samples must also sit above 0.
+    ``P`` should carry no Rabi oscillation: for the excited atom that is
+    the exact envelope (P_minus + P_plus)/2 of P_atom_e, whose remaining
+    term, the dressed coherence, is the oscillation.  ``osc_period`` sets
+    the time scale: the relative change per period |P'/P|*osc_period is
+    compared against _PLATEAU_SLOPE_TOL, and samples must also sit above 0.
     The longest contiguous qualifying interval is reported if it spans
     at least _PLATEAU_MIN_PERIODS osc_periods; a shorter one is no plateau.
 
@@ -104,15 +73,11 @@ def detect_plateau(t, P, osc_period):
     if t.shape != P.shape or t.ndim != 1:
         raise ValueError("t and P must be 1-D arrays of equal length")
     min_duration = _PLATEAU_MIN_PERIODS * osc_period
-    if t.size < 4 or t[-1] - t[0] < 2.0 * osc_period + min_duration:
-        return _no_plateau("series too short to cover the smoothing window "
-                           "plus the minimum duration")
-    tc, S = _smooth_oscillation(t, P, osc_period)
-    if tc.size < 2:  # a grid this coarse leaves the second average no interior
-        return _no_plateau("grid too coarse: under 2 samples after smoothing")
-    dS = np.gradient(S, tc)
-    rel_per_period = np.abs(dS) * osc_period / np.maximum(S, 1e-300)
-    ok = (rel_per_period < _PLATEAU_SLOPE_TOL) & (S > 0.0)
+    if t.size < 2 or t[-1] - t[0] < min_duration:
+        return _no_plateau("series too short to cover the minimum duration")
+    dP = np.gradient(P, t)
+    rel_per_period = np.abs(dP) * osc_period / np.maximum(P, 1e-300)
+    ok = (rel_per_period < _PLATEAU_SLOPE_TOL) & (P > 0.0)
 
     padded = np.concatenate(([0], ok.astype(int), [0]))
     edges = np.diff(padded)
@@ -120,16 +85,16 @@ def detect_plateau(t, P, osc_period):
     ends = np.flatnonzero(edges == -1) - 1
     if starts.size == 0:
         return _no_plateau("no positive sample satisfies the slope criterion")
-    k = int(np.argmax(tc[ends] - tc[starts]))
+    k = int(np.argmax(t[ends] - t[starts]))
     i0, i1 = int(starts[k]), int(ends[k])
-    duration = tc[i1] - tc[i0]
+    duration = t[i1] - t[i0]
     if not duration >= min_duration:
         return _no_plateau(f"longest slow interval lasts {duration:.6g}, "
                            f"below the minimum of {min_duration:.6g}")
     return TrappingReport(
-        plateau_start=float(tc[i0]), plateau_end=float(tc[i1]),
-        trapped_value=float(np.trapezoid(S[i0:i1 + 1], tc[i0:i1 + 1]) / duration),
-        detected=True, slope_at_plateau=float((S[i1] - S[i0]) / duration))
+        plateau_start=float(t[i0]), plateau_end=float(t[i1]),
+        trapped_value=float(np.trapezoid(P[i0:i1 + 1], t[i0:i1 + 1]) / duration),
+        detected=True, slope_at_plateau=float((P[i1] - P[i0]) / duration))
 
 
 def asymptotic_rate_ratio(s, sys):

@@ -246,9 +246,11 @@ def cmd_sweep(args, cfg):
         s = replace(cfg.spectrum(), lam=float(lam))
         ratio = asymptotic_rate_ratio(s, sys_params)
         traj = evolve_analytic(sys_params, s, ts)
-        # detect_plateau reads a NaN series as "no plateau", so check first
-        _require_finite(traj.P_atom_e, f"trajectory at lambda={lam:.12g}")
-        report = detect_plateau(ts, traj.P_atom_e, osc_period=period)
+        # P_atom_e less its Rabi term, the coherence; detect_plateau reads
+        # a NaN series as "no plateau", so check first
+        envelope = 0.5 * (traj.P_minus + traj.P_plus)
+        _require_finite(envelope, f"trajectory at lambda={lam:.12g}")
+        report = detect_plateau(ts, envelope, osc_period=period)
         rows.append([lam, ratio, report.trapped_value,
                      report.plateau_start, report.plateau_end])
     rows = np.asarray(rows)

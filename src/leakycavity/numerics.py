@@ -2,8 +2,8 @@
 
 A Fourier-sine tail integral (QUADPACK via scipy), a composite
 Gauss-Legendre rule on [0, b] handed out in bounded blocks for smooth
-oscillatory windows, cumulative integrals on sample grids, and an
-adaptive DOP853 propagator with dense output.
+oscillatory windows, and an adaptive DOP853 propagator with dense
+output.
 All functions are pure; there is no shared mutable state.  The
 propagator's tolerances and call budget are constants of this module;
 the quadrature's are arguments, set by each caller.  scipy is imported
@@ -20,7 +20,6 @@ __all__ = [
     "OdeSolveError",
     "adaptive_quadrature",
     "panel_gauss_blocks",
-    "cumulative_integral",
     "ode_solve",
 ]
 
@@ -111,26 +110,6 @@ def _panel_blocks(b, n):
         mid = 0.5 * (edges[1:, None] + edges[:-1, None])
         half = 0.5 * (edges[1:, None] - edges[:-1, None])
         yield (mid + half * x).ravel(), (half * w).ravel()
-
-
-def cumulative_integral(t, values):
-    """Cumulative integral from t[0] of sampled values on a strictly increasing grid.
-
-    Composite trapezoid.  The output is aligned with ``t``: entry i holds
-    the integral from t[0] to t[i], so entry 0 is 0.
-    """
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != values.shape:
-        raise ValueError("t and values must be 1-D arrays of equal length")
-    if t.size < 2:
-        raise ValueError(f"need at least 2 samples, got {t.size}")
-    if t[0] < 0.0:
-        raise ValueError(f"grid must start at t >= 0, got t[0]={t[0]}")
-    if np.any(np.diff(t) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
-    steps = np.diff(t) * (values[1:] + values[:-1]) / 2.0
-    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 _ODE_RTOL = 1e-10           # DOP853 local error control, relative

@@ -106,8 +106,10 @@ def test_criterion_07_trapped_population_windows():
                                        ("b", 300.0, 15001, 0.21, 0.25)):
             sys, s = reference_case(case)
             ts = np.linspace(0.0, t_max, n)
-            P = evolve_analytic(sys, s, ts).P_atom_e
-            report = detect_plateau(ts, P, osc_period=RABI_PERIOD)
+            traj = evolve_analytic(sys, s, ts)
+            # P_atom_e without its Rabi term, the dressed coherence
+            report = detect_plateau(ts, 0.5 * (traj.P_minus + traj.P_plus),
+                                    osc_period=RABI_PERIOD)
             assert report.detected
             assert lo <= report.trapped_value <= hi
             assert report.plateau_end - report.plateau_start > 10.0 * RABI_PERIOD
@@ -149,7 +151,7 @@ def test_criterion_10_single_rate_model_cannot_trap():
         P_minus = traj.P_minus
         P_plus = traj.P_plus
         assert np.max(np.abs(P_plus / P_minus - 1.0)) <= 1e-10
-        report = detect_plateau(ts, traj.P_atom_e, osc_period=RABI_PERIOD)
+        report = detect_plateau(ts, 0.5 * (P_minus + P_plus), osc_period=RABI_PERIOD)
         assert not report.detected
 
 

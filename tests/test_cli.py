@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from leakycavity import cli
+from leakycavity.analysis import detect_plateau, reference_case
 from leakycavity.cli import ConfigError, RunConfig, load_config
+from leakycavity.dynamics import evolve_analytic
 from leakycavity.numerics import OdeSolveError
 
 
@@ -356,6 +358,32 @@ def test_sweep_lambda_table(tmp_path, capsys):
     # stationary ratio lam^2 / (4 Omega^2 + lam^2) with 2 Omega = 1
     expected = lams**2 / (1.0 + lams**2)
     assert np.max(np.abs(rows[:, 1] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("case, t_max, n_output, lo, hi", [("a", 150.0, 3001, 0.14, 0.21),
+                                                         ("b", 300.0, 6001, 0.21, 0.25)])
+def test_sweep_detects_the_plateau_on_the_exact_envelope(tmp_path, capsys, case, t_max,
+                                                         n_output, lo, hi):
+    # criterion 07's horizons and windows, the row read back at full precision
+    sys_params, s = reference_case(case)
+    lam = float(s.lam)
+    path = write_config(tmp_path, CASE_B)
+    code, out, err = run_cli(
+        ["sweep", "--config", path, "--param", "lambda",
+         "--from", repr(lam), "--to", repr(lam), "--steps", "1",
+         "--set", f"evolve.t_max={t_max}", "--set", f"evolve.n_output={n_output}",
+         "--set", "output.precision=17"], capsys)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    ts = np.linspace(0.0, t_max, n_output)
+    traj = evolve_analytic(sys_params, s, ts)
+    period = np.pi / sys_params.Omega
+    report = detect_plateau(ts, 0.5 * (traj.P_minus + traj.P_plus), osc_period=period)
+    assert rows.shape == (1, 5) and rows[0, 0] == lam
+    assert rows[0, 2:].tolist() == [report.trapped_value, report.plateau_start,
+                                    report.plateau_end]
+    assert lo <= report.trapped_value <= hi
+    assert report.plateau_end - report.plateau_start > 10.0 * period
 
 
 def test_sweep_reports_no_plateau_shorter_than_ten_periods(tmp_path, capsys):

@@ -8,8 +8,8 @@ import pytest
 
 from leakycavity import numerics
 from leakycavity.numerics import (OdeSolveError, QuadratureError,
-                                  adaptive_quadrature, cumulative_integral,
-                                  ode_solve, panel_gauss_blocks)
+                                  adaptive_quadrature, ode_solve,
+                                  panel_gauss_blocks)
 
 
 TOL = dict(rel_tol=1e-10, abs_tol=1e-12, limit=10_000)
@@ -82,40 +82,6 @@ def test_panel_gauss_rejects_bad_interval():
         panel_gauss_blocks(0.0, max_width=0.1)
     with pytest.raises(ValueError):
         panel_gauss_blocks(1.0, max_width=0.0)
-
-
-def test_cumulative_constant():
-    alpha = 0.7
-    t = np.array([0.0, 1.0, 2.0])
-    out = cumulative_integral(t, np.full(3, alpha))
-    np.testing.assert_allclose(out, [0.0, alpha, 2 * alpha], rtol=0, atol=1e-15)
-
-
-def test_cumulative_matches_antiderivative():
-    # f(t) = alpha (1 - e^{-lam t}) has antiderivative alpha [t - (1-e^{-lam t})/lam]
-    alpha, lam = 0.7, 0.4
-    t = np.linspace(0.0, 5.0, 20001)
-    f = alpha * (1.0 - np.exp(-lam * t))
-    exact = alpha * (t - (1.0 - np.exp(-lam * t)) / lam)
-    got = cumulative_integral(t, f)
-    assert np.all(np.abs(got - exact) <= 1e-8 * alpha * t + 1e-15)
-
-
-def test_cumulative_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        cumulative_integral(np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        cumulative_integral(np.array([0.0, 2.0, 1.0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        cumulative_integral(np.array([-1.0, 0.0]), np.zeros(2))
-    with pytest.raises(ValueError):
-        cumulative_integral(np.array([0.0, 1.0]), np.zeros(3))
-
-
-def test_cumulative_nonnegative_integrand_is_nondecreasing():
-    t = np.linspace(0.0, 10.0, 301)
-    out = cumulative_integral(t, np.abs(np.sin(3 * t)) + 0.1)
-    assert np.all(np.diff(out) >= 0.0)
 
 
 def test_ode_scalar_exponential():
