@@ -38,7 +38,6 @@ class TrappingReport:
     plateau_end: float
     trapped_value: float
     detected: bool
-    slope_at_plateau: float
     note: str = ""
 
 
@@ -48,8 +47,7 @@ _PLATEAU_MIN_PERIODS = 10.0  # shortest plateau that counts, in periods
 
 def _no_plateau(note):
     return TrappingReport(plateau_start=np.nan, plateau_end=np.nan,
-                          trapped_value=0.0, detected=False,
-                          slope_at_plateau=np.nan, note=note)
+                          trapped_value=0.0, detected=False, note=note)
 
 
 def detect_plateau(t, P, osc_period):
@@ -94,7 +92,7 @@ def detect_plateau(t, P, osc_period):
     return TrappingReport(
         plateau_start=float(t[i0]), plateau_end=float(t[i1]),
         trapped_value=float(np.trapezoid(P[i0:i1 + 1], t[i0:i1 + 1]) / duration),
-        detected=True, slope_at_plateau=float((P[i1] - P[i0]) / duration))
+        detected=True)
 
 
 def asymptotic_rate_ratio(s, sys):

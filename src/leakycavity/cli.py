@@ -19,7 +19,7 @@ import gc
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,25 +36,30 @@ class ConfigError(ValueError):
     """Malformed configuration: unknown key, bad literal, broken invariant."""
 
 
+def _key(key, default):
+    """A RunConfig field set by config key ``key``, parsed by its annotation."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters; field names flatten the config sections."""
 
-    omega0: float = 100.0
-    Omega: float = 0.5
-    alpha: float = 0.1
-    lam: float = 1.0 / 3.0
-    omega1: float = None  # defaults to omega0 - Omega when unset
-    t_max: float = 100.0
-    n_output: int = 2001
-    solver_mode: str = "analytic"
-    kappa: float = None
-    rates_mode: str = "closed-form"
-    output_path: str = "-"
-    precision: int = 12
+    omega0: float = _key("system.omega0", 100.0)
+    Omega: float = _key("system.Omega", 0.5)
+    alpha: float = _key("reservoir.alpha", 0.1)
+    lam: float = _key("reservoir.lambda", 1.0 / 3.0)
+    omega1: float = _key("reservoir.omega1", None)  # defaults to omega0 - Omega when unset
+    t_max: float = _key("evolve.t_max", 100.0)
+    n_output: int = _key("evolve.n_output", 2001)
+    solver_mode: str = _key("solver.mode", "analytic")
+    kappa: float = _key("solver.kappa", None)
+    rates_mode: str = _key("rates.mode", "closed-form")
+    output_path: str = _key("output.path", "-")
+    precision: int = _key("output.precision", 12)
 
     def __post_init__(self):
-        key = {field: k for k, (field, _) in _KEYMAP.items()}
+        key = {f.name: f.metadata["key"] for f in fields(self)}
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
@@ -92,29 +97,16 @@ class RunConfig:
 
 
 # config-file key -> (RunConfig field, parser)
-_KEYMAP = {
-    "system.omega0": ("omega0", float),
-    "system.Omega": ("Omega", float),
-    "reservoir.alpha": ("alpha", float),
-    "reservoir.lambda": ("lam", float),
-    "reservoir.omega1": ("omega1", float),
-    "evolve.t_max": ("t_max", float),
-    "evolve.n_output": ("n_output", int),
-    "solver.mode": ("solver_mode", str),
-    "solver.kappa": ("kappa", float),
-    "rates.mode": ("rates_mode", str),
-    "output.path": ("output_path", str),
-    "output.precision": ("precision", int),
-}
+_KEYMAP = {f.metadata["key"]: (f.name, f.type) for f in fields(RunConfig)}
 
 
 def _parse_pair(key, value):
     key = key.strip()
     if key not in _KEYMAP:
         raise ConfigError(f"unknown config key {key!r}")
-    field, conv = _KEYMAP[key]
+    name, conv = _KEYMAP[key]
     try:
-        return field, conv(value.strip())
+        return name, conv(value.strip())
     except ValueError:
         raise ConfigError(f"bad value for {key}: {value.strip()!r}") from None
 
@@ -133,12 +125,12 @@ def _read_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'section.key = value'")
         key, value = line.split("=", 1)
-        field, parsed = _parse_pair(key, value)
-        if field in first_line:
+        name, parsed = _parse_pair(key, value)
+        if name in first_line:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key.strip()!r}, "
-                              f"first set on line {first_line[field]}")
-        first_line[field] = lineno
-        updates[field] = parsed
+                              f"first set on line {first_line[name]}")
+        first_line[name] = lineno
+        updates[name] = parsed
     return updates
 
 
@@ -148,8 +140,8 @@ def load_config(config_path, set_pairs):
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        field, parsed = _parse_pair(key, value)
-        updates[field] = parsed
+        name, parsed = _parse_pair(key, value)
+        updates[name] = parsed
     return RunConfig(**updates)
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "rho_analytic",
     "populations",
     "evolve_analytic",
-    "evolve_master_equation",
     "evolve_tcl_ode",
     "evolve_phenomenological",
 ]
@@ -215,33 +214,26 @@ def _generator(sys):
     return gens
 
 
-def evolve_master_equation(sys, rates, t_grid):
-    """Propagate the master equation as a 9-real-dimensional linear ODE.
-
-    ``rates(t) -> (gamma_minus, gamma_plus)``, a pair or a length-2 array,
-    weights the channel generators, and ``ode_solve`` integrates it by DOP853
-    (relative 1e-10, absolute 1e-12).  evolve_tcl_ode is its one caller in the package.
-    """
-    ts = _as_time_grid(t_grid)
-    G0, G_m, G_p = _generator(sys)
-
-    def rhs(t, y):
-        g_m, g_p = rates(t)
-        return (G0 + g_m * G_m + g_p * G_p) @ y
-
-    return _trajectory(ts, _unpack(ode_solve(rhs, _pack(initial_state_atom_excited()), ts)))
-
-
 def evolve_tcl_ode(sys, s, t_grid, rate=rate_closed_form):
     """The master equation with the rates of spectrum s, propagated as an ODE.
 
-    ``rate(s, omega, t)`` gives gamma elementwise over an array of channel
-    frequencies, called once per right-hand-side evaluation for both
-    channels: rate_closed_form (fast) or spectral.rate_quadrature_oracle
-    (evaluated fresh at every solver stage, so keep the horizon short).
+    The state is a real 9-vector and the generator G0 + gamma_- G- +
+    gamma_+ G+ is linear in it; ``ode_solve`` integrates it by DOP853
+    (relative 1e-10, absolute 1e-12).  ``rate(s, omega, t)`` gives gamma
+    elementwise over an array of channel frequencies, called once per
+    right-hand-side evaluation for both channels: rate_closed_form (fast)
+    or spectral.rate_quadrature_oracle (evaluated fresh at every solver
+    stage, so keep the horizon short).
     """
+    ts = _as_time_grid(t_grid)
+    G0, G_m, G_p = _generator(sys)
     channels = sys.channels
-    return evolve_master_equation(sys, lambda t: rate(s, channels, t), t_grid)
+
+    def rhs(t, y):
+        g_m, g_p = rate(s, channels, t)
+        return (G0 + g_m * G_m + g_p * G_p) @ y
+
+    return _trajectory(ts, _unpack(ode_solve(rhs, _pack(initial_state_atom_excited()), ts)))
 
 
 def evolve_phenomenological(sys, kappa, t_grid):

@@ -74,28 +74,28 @@ def _gauss_rule():
     return np.polynomial.legendre.leggauss(16)
 
 
-def panel_gauss_blocks(b, max_width):
+def panel_gauss_blocks(b, n):
     """Composite 16-point Gauss-Legendre rule on [0, b], as (nodes, weights) blocks.
 
-    [0, b] is split into ceil(b / max_width) uniform panels, handed out in
-    increasing x as blocks of _PANEL_BLOCK nodes (the last may hold
-    fewer), so memory stays bounded however fine the split; the integral
-    of f is the sum over blocks of f(nodes) . weights.  The blocks depend
-    on b and the panel count alone.  More than _PANEL_BUDGET panels raise
-    QuadratureError here, before any node is built.  Exact to rounding for
-    polynomials of degree <= 31 on a single panel; for smooth oscillatory
-    integrands choose max_width below half the oscillation period.
+    [0, b] is split into n uniform panels, handed out in increasing x as
+    blocks of _PANEL_BLOCK nodes (the last may hold fewer), so memory
+    stays bounded however fine the split; the integral of f is the sum
+    over blocks of f(nodes) . weights.  The blocks depend on b and n
+    alone.  A count n above _PANEL_BUDGET (inf included) raises
+    QuadratureError here, before any node is built.  Exact to rounding
+    for polynomials of degree <= 31 on a single panel; for smooth
+    oscillatory integrands choose n so a panel is below half the
+    oscillation period.
     """
     if not b > 0.0:
         raise ValueError(f"need b > 0, got {b}")
-    if not max_width > 0.0:
-        raise ValueError(f"max_width must be positive, got {max_width}")
-    n = np.ceil(b / max_width)
+    if not n >= 1:
+        raise ValueError(f"need at least one panel, got {n}")
     if not n <= _PANEL_BUDGET:
         raise QuadratureError(
             f"panel quadrature needs {n:.3g} panels, above the budget of {_PANEL_BUDGET}",
             estimate=np.nan, error_bound=np.inf)
-    return _panel_blocks(b, max(1, int(n)))
+    return _panel_blocks(b, int(n))
 
 
 def _panel_blocks(b, n):

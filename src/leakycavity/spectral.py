@@ -104,22 +104,22 @@ def rate_quadrature_oracle(s, omega, t):
         gamma(omega, t) = int_0^inf [J(omega+x) + J(omega-x)] * 2 sin(x t)/x dx.
 
     The x integral is evaluated numerically: composite Gauss-Legendre on
-    the window [0, R], R = |omega1 - omega| + K half-widths with K = 200
-    (panels kept below half a half-width and below half an oscillation
-    period of the kernel), plus one Fourier-weighted quadrature of the
-    smooth tail integrand 2 [J(omega+x) + J(omega-x)]/x against sin(x t)
-    on [R, inf), to relative 1e-10 and absolute 1e-12 alpha within
-    _TAIL_LIMIT subdivisions.  No use is made of the closed-form result;
-    this is a test oracle, not a fast path.  Broadcasts over omega and t
-    like rate_closed_form.  The window [0, R] does not depend on t: per
-    distinct omega, every time with the same panel count shares one panel
-    set and its folded spectral weight, and the window is a sum of
-    sin(t x) against that weight, in blocks of 16 times by _PANEL_BLOCK
-    nodes.  A point's value does not depend on the rest of the batch.
-    The tail is one quadrature per point.  The panel count grows like t,
-    and past the budget of panel_gauss_blocks (t above about 2.4e4 at
-    lam = 1/3) the oracle raises QuadratureError before evaluating that
-    omega's window.
+    the window [0, R], R = |omega1 - omega| + K half-widths with K = 200,
+    in ceil(R / min(lam/2, pi/(2t))) panels, each below half a half-width
+    and half an oscillation period of the kernel, plus one Fourier-weighted
+    quadrature of the smooth tail integrand 2 [J(omega+x) + J(omega-x)]/x
+    against sin(x t) on [R, inf), to relative 1e-10 and absolute 1e-12
+    alpha within _TAIL_LIMIT subdivisions.  No use is made of the
+    closed-form result; this is a test oracle, not a fast path.
+    Broadcasts over omega and t like rate_closed_form.  The window [0, R]
+    does not depend on t: per distinct omega, every time with the same
+    panel count shares one panel set and its folded spectral weight, and
+    the window is a sum of sin(t x) against that weight, in blocks of 16
+    times by _PANEL_BLOCK nodes.  A point's value does not depend on the
+    rest of the batch.  The tail is one quadrature per point.  The panel
+    count, handed to panel_gauss_blocks, grows like t, and past its budget
+    (t above about 2.4e4 at lam = 1/3) the oracle raises QuadratureError
+    before evaluating that omega's window.
     """
     _check_nonnegative_time(t)
     omega, t = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(t, dtype=float))
@@ -152,12 +152,9 @@ def _oracle_channel(s, omega, t):
     # pi/(2t) overflows at a subnormal t, the count at t near the float
     # maximum; an infinite count fails the budget check below
     with np.errstate(over="ignore"):
-        width = np.minimum(s.lam / 2.0, 0.5 * np.pi / t[rows])
-        # the panel count panel_gauss_blocks derives from the same division
-        count = np.ceil(R / width)
+        count = np.ceil(R / np.minimum(s.lam / 2.0, 0.5 * np.pi / t[rows]))
     # every budget is checked before any node is built
-    groups = [(rows[count == n], panel_gauss_blocks(R, float(width[count == n][0])))
-              for n in np.unique(count)]
+    groups = [(rows[count == n], panel_gauss_blocks(R, n)) for n in np.unique(count)]
     for group, blocks in groups:
         for x, w in blocks:
             weight = folded(x) * w

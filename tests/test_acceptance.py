@@ -15,7 +15,6 @@ import numpy as np
 
 from leakycavity.analysis import detect_plateau, reference_case
 from leakycavity.dynamics import (SystemParams, evolve_analytic,
-                                  evolve_master_equation,
                                   evolve_phenomenological, evolve_tcl_ode,
                                   populations, rho_analytic)
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
@@ -120,8 +119,8 @@ def test_criterion_08_exact_trapping_limit():
                       "P_0g = 1/2 to 1e-6"):
         sys, s = reference_case("a")
         ts = np.linspace(0.0, 2000.0, 401)
-        traj = evolve_master_equation(
-            sys, lambda t: (rate_closed_form(s, sys.channels[0], t), 0.0), ts)
+        traj = evolve_tcl_ode(
+            sys, s, ts, rate=lambda s, omega, t: (rate_closed_form(s, omega[0], t), 0.0))
         assert abs(traj.P_atom_e[-1] - 0.25) <= 1e-6
         assert abs(traj.P_0g[-1] - 0.5) <= 1e-6
         # closed-form cross-check of the same limit

@@ -103,8 +103,9 @@ def test_duplicate_config_key_rejected(tmp_path, capsys):
 
 
 def test_keymap_and_runconfig_fields_map_one_to_one():
-    mapped = [field for field, _ in cli._KEYMAP.values()]
-    assert sorted(mapped) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    keys = [f.metadata.get("key") for f in dataclasses.fields(RunConfig)]
+    assert None not in keys and len(set(keys)) == len(keys)
+    assert sorted(cli._KEYMAP) == sorted(keys)
 
 
 @pytest.mark.parametrize("source", ["--set", "config file"])
@@ -387,8 +388,8 @@ def test_sweep_detects_the_plateau_on_the_exact_envelope(tmp_path, capsys, case,
 
 
 def test_sweep_reports_no_plateau_shorter_than_ten_periods(tmp_path, capsys):
-    # at t_max = 80 every lambda here has a slow interval of 17 to 38 time
-    # units, short of the 10 Rabi periods (62.8) a plateau needs
+    # at t_max = 80 every lambda here has a slow interval of 23.85 to 44.1
+    # time units, short of the 10 Rabi periods (62.8) a plateau needs
     path = write_config(tmp_path, "reservoir.alpha = 0.1\nevolve.t_max = 80.0\n"
                                   "evolve.n_output = 1601\n")
     code, out, err = run_cli(
@@ -402,9 +403,9 @@ def test_sweep_reports_no_plateau_shorter_than_ten_periods(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n_output", [4, 5])
-def test_sweep_on_a_grid_too_coarse_to_smooth_reports_no_plateau(capsys, n_output):
-    # the two one-period averages leave under 2 samples of a 4- or 5-point
-    # grid, too few for a slope
+def test_sweep_on_a_four_or_five_point_grid_reports_no_plateau(capsys, n_output):
+    # the longest slow interval on these grids lasts 0 and 25 time units,
+    # short of the 10 Rabi periods (62.8) a plateau needs
     code, out, err = run_cli(
         ["sweep", "--config", os.devnull, "--set", f"evolve.n_output={n_output}",
          "--param", "lambda", "--from", "0.3", "--to", "0.3", "--steps", "1"], capsys)

@@ -4,10 +4,10 @@ import pytest
 from leakycavity import dynamics
 from leakycavity.analysis import reference_case
 from leakycavity.dynamics import (SystemParams, _pack, _unpack,
-                                  evolve_analytic, evolve_master_equation,
-                                  evolve_phenomenological, evolve_tcl_ode,
-                                  hamiltonian, initial_state_atom_excited,
-                                  populations, rho_analytic)
+                                  evolve_analytic, evolve_phenomenological,
+                                  evolve_tcl_ode, hamiltonian,
+                                  initial_state_atom_excited, populations,
+                                  rho_analytic)
 from leakycavity.numerics import ode_solve
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
                                   rate_closed_form, rate_quadrature_oracle)
@@ -221,7 +221,7 @@ def test_tcl_ode_case_b_to_t100_makes_under_6000_rhs_calls(monkeypatch):
 def test_ode_rates_forced_to_zero_gives_rabi_oscillation():
     sys, s = reference_case("a")
     ts = np.linspace(0.0, 12.0, 241)
-    traj = evolve_master_equation(sys, lambda t: (0.0, 0.0), ts)
+    traj = evolve_tcl_ode(sys, s, ts, rate=lambda s, omega, t: (0.0, 0.0))
     expected = np.cos(sys.Omega * ts) ** 2
     assert np.max(np.abs(traj.P_0e - expected)) < 1e-9
     assert np.max(np.abs(traj.P_minus - 0.5)) < 1e-10
@@ -260,7 +260,7 @@ def test_generator_matches_per_call_reference(rates):
     assert rate_closed_form(S_B, SYS_B.channels[1], ts).min() < 0.0
     ref = _unpack(ode_solve(_per_call_rhs(SYS_B, rates),
                             _pack(initial_state_atom_excited()), ts))
-    got = evolve_master_equation(SYS_B, rates, ts)
+    got = evolve_tcl_ode(SYS_B, S_B, ts, rate=lambda s, omega, t: rates(t))
     assert np.max(np.abs(got.states - ref)) < 1e-10
 
 
@@ -336,10 +336,10 @@ def test_phenomenological_rejects_negative_kappa():
 def test_phenomenological_closed_form_matches_the_master_equation_ode(kappa):
     # the closed form against the ODE route on the same constant rates,
     # within criterion 04's bound
-    sys, _ = reference_case("a")
+    sys, s = reference_case("a")
     ts = np.linspace(0.0, 50.0, 501)
     got = evolve_phenomenological(sys, kappa, ts)
-    ode = evolve_master_equation(sys, lambda t: (kappa, kappa), ts)
+    ode = evolve_tcl_ode(sys, s, ts, rate=lambda s, omega, t: (kappa, kappa))
     assert np.max(np.abs(got.states - ode.states)) < 1e-8
     for P in (got.P_minus, got.P_plus):
         assert np.max(np.abs(P - 0.5 * np.exp(-0.5 * kappa * ts))) < 1e-15

@@ -41,13 +41,13 @@ def test_quadrature_nonconvergence_carries_estimate():
     assert err.value.error_bound > 0.0
 
 
-def integrate(f, b, max_width):
-    return sum(float(np.dot(f(x), w)) for x, w in panel_gauss_blocks(b, max_width))
+def integrate(f, b, n):
+    return sum(float(np.dot(f(x), w)) for x, w in panel_gauss_blocks(b, n))
 
 
 def test_panel_gauss_polynomial_exactness():
     # the 16-point rule is exact through degree 31 on each panel
-    got = integrate(lambda t: t**7, 2.0, max_width=2.0)
+    got = integrate(lambda t: t**7, 2.0, n=1)
     assert abs(got - 2.0**8 / 8.0) < 1e-12
 
 
@@ -56,32 +56,32 @@ def test_panel_gauss_evaluates_in_bounded_blocks():
     # and the blocks tile [0, n] in order
     per = numerics._PANEL_BLOCK // 16
     n = 3 * per + 5
-    blocks = list(panel_gauss_blocks(float(n), max_width=1.0))
+    blocks = list(panel_gauss_blocks(float(n), n))
     assert [x.size for x, _ in blocks] == [numerics._PANEL_BLOCK] * 3 + [16 * 5]
     nodes = np.concatenate([x for x, _ in blocks])
     assert np.all(np.diff(nodes) > 0.0) and 0.0 < nodes[0] and nodes[-1] < n
-    assert abs(integrate(np.cos, float(n), max_width=1.0) - np.sin(n)) < 1e-10
+    assert abs(integrate(np.cos, float(n), n) - np.sin(n)) < 1e-10
 
 
-@pytest.mark.parametrize("max_width", [1.0 / (numerics._PANEL_BUDGET + 1), 1e-300])
-def test_panel_gauss_over_budget_raises_before_evaluating(max_width):
+@pytest.mark.parametrize("n", [numerics._PANEL_BUDGET + 1, np.inf])
+def test_panel_gauss_over_budget_raises_before_evaluating(n):
     # the call itself raises, before a single block is built
     with pytest.raises(QuadratureError, match="budget"):
-        panel_gauss_blocks(1.0, max_width=max_width)
+        panel_gauss_blocks(1.0, n)
 
 
 def test_panel_gauss_oscillatory():
-    got = integrate(np.sin, 20 * np.pi, max_width=np.pi / 2)
+    got = integrate(np.sin, 20 * np.pi, n=40)
     assert abs(got) < 1e-12
-    got = integrate(lambda t: np.cos(10 * t), 1.0, max_width=0.1)
+    got = integrate(lambda t: np.cos(10 * t), 1.0, n=10)
     assert abs(got - np.sin(10.0) / 10.0) < 1e-12
 
 
 def test_panel_gauss_rejects_bad_interval():
     with pytest.raises(ValueError):
-        panel_gauss_blocks(0.0, max_width=0.1)
+        panel_gauss_blocks(0.0, 10)
     with pytest.raises(ValueError):
-        panel_gauss_blocks(1.0, max_width=0.0)
+        panel_gauss_blocks(1.0, 0)
 
 
 def test_ode_scalar_exponential():
