@@ -11,7 +11,9 @@ byte-identical output.
 Exit codes: 0 success, 2 malformed config or usage (including an output
 file or stdout pipe that cannot be written), 3 numerical failure (including a
 table that would hold NaN or inf) or out of memory, 64 unknown subcommand.
-A warning, such as the rotating-wave one, is one 'warning:' stderr line.
+Each error is one 'error:' stderr line, a malformed or missing flag
+included ('error: usage: ...').  A warning, such as the rotating-wave one,
+is one 'warning:' stderr line.
 """
 
 import argparse
@@ -272,8 +274,15 @@ common options: --config FILE, --set section.key=value (repeatable)
 """
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise, for main to report in one line."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser(cmd):
-    parser = argparse.ArgumentParser(prog=f"leakycavity {cmd}")
+    parser = _ArgumentParser(prog=f"leakycavity {cmd}")
     parser.add_argument("--config", required=cmd != "figures",
                         help="path to a 'section.key = value' config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -304,7 +313,10 @@ def main(argv=None):
         return 64
     try:
         args = _build_parser(cmd).parse_args(rest)
-    except SystemExit as exc:  # argparse prints usage itself
+    except argparse.ArgumentError as exc:
+        sys.stderr.write(f"error: usage: {exc}\n")
+        return 2
+    except SystemExit as exc:  # -h prints the help and exits 0
         return int(exc.code or 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -10,14 +10,18 @@ at transition frequency omega is the partial Fourier cosine transform
 
     gamma(omega, t) = 2 Re int_0^t dtau int domega' e^{i(omega-omega')tau} J(omega'),
 
-which for the Lorentzian evaluates in closed form.  This module provides
-the closed form, its stationary limit 2*pi*J(omega), the accumulated rate
+which for the Lorentzian evaluates in closed form: the omega' integral
+leaves one correlation (alpha lam/2) e^{-z tau}, z = lam - i(omega1 - omega),
+and the rate and its time integral are the exponential-integrator
+phi-functions of -z t.  This module provides the closed form, its
+stationary limit 2*pi*J(omega), the accumulated rate
 I(omega, t) = int_0^t gamma, and a brute-force quadrature oracle that
 evaluates the double integral directly without using the closed form:
 after the time integral, one window integral and one Fourier tail over
 the distance x = |omega' - omega| from the channel frequency.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +30,6 @@ from .numerics import adaptive_quadrature, panel_gauss_blocks
 
 __all__ = [
     "LorentzianSpectrum",
-    "spectral_density",
     "rate_closed_form",
     "stationary_rate",
     "rate_quadrature_oracle",
@@ -53,40 +56,61 @@ class LorentzianSpectrum:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
-def spectral_density(s, omega):
-    """J(omega) at a float omega or elementwise over an array of them."""
-    d = s.omega1 - omega
-    lam2 = s.lam * s.lam  # a product overflows to inf where lam**2 would raise
-    return (s.alpha * lam2 / (2.0 * np.pi)) / (d * d + lam2)
-
-
 def _check_nonnegative_time(t):
     if (np.asarray(t) < 0.0).any():
         raise ValueError("t must be nonnegative")
 
 
+def _exponent(s, omega):
+    """z = lam - i(omega1 - omega): the correlation at channel omega is (alpha lam/2) e^{-z tau}."""
+    return s.lam - 1j * (s.omega1 - omega)
+
+
+# 1/(k + p)! for k = 0..11, highest first: Horner order for the series of phi_p
+_PHI_SERIES = {p: [1.0 / math.factorial(k + p) for k in reversed(range(12))] for p in (1, 2)}
+
+
+def _phi(w, p):
+    """phi_1(w) = expm1(w)/w, or phi_2(w) = (phi_1(w) - 1)/w for p = 2, elementwise.
+
+    Inside |w| < 0.1, where the quotients cancel (and read 0/0 at w = 0),
+    the Taylor series sum_k w^k/(k + p)! to 12 terms takes over; it is
+    evaluated on those entries alone, as it overflows on large ones.
+    """
+    w = np.asarray(w)
+    small = np.abs(w) < 0.1
+    any_small = small.any()
+    big = np.where(small, 1.0, w) if any_small else w
+    phi = np.expm1(big) / big
+    if p == 2:
+        phi = (phi - 1.0) / big  # not (expm1(w) - w)/w**2, whose square overflows
+    if any_small:
+        phi, w = np.asarray(phi), w[small]
+        series = 0.0
+        for c in _PHI_SERIES[p]:
+            series = series * w + c
+        phi[small] = series
+    return phi[()]
+
+
 def rate_closed_form(s, omega, t):
     """Decay rate gamma(omega, t) for the Lorentzian reservoir.
 
-    gamma = k * (1 + ((d/lam) sin(d t) - cos(d t)) e^{-lam t}),
-    d = omega1 - omega, k = alpha lam^2 / (d^2 + lam^2) = 2 pi J(omega).
-
-    Exactly zero at t = 0 for every omega; relaxes to the stationary value
-    k on the memory time 1/lam.  For channels detuned by |d| > lam the
-    transient oscillates and the rate goes negative over part of the
+    gamma = alpha lam t Re phi_1(-z t), z = lam - i(omega1 - omega) (see
+    docs/rate_integral.md).  Exactly zero at t = 0 for every omega;
+    relaxes to the stationary value alpha lam Re(1/z) = 2 pi J(omega) on
+    the memory time 1/lam.  For channels detuned by |omega1 - omega| > lam
+    the transient oscillates and the rate goes negative over part of the
     first few periods.  Broadcasts over omega and t: the channel axis
     SystemParams.channels[:, None] against a time grid gives both channels.
     """
     _check_nonnegative_time(t)
-    d = s.omega1 - omega
-    lam2 = s.lam * s.lam
-    k = s.alpha * lam2 / (d * d + lam2)
-    return k * (1.0 + ((d / s.lam) * np.sin(d * t) - np.cos(d * t)) * np.exp(-s.lam * t))
+    return s.alpha * s.lam * t * _phi(-_exponent(s, omega) * t, 1).real
 
 
 def stationary_rate(s, omega):
-    """Long-time limit of the rate, 2 pi J(omega)."""
-    return 2.0 * np.pi * spectral_density(s, omega)
+    """Long-time limit of the rate, alpha lam Re(1/z) = 2 pi J(omega)."""
+    return s.alpha * s.lam * (1.0 / _exponent(s, omega)).real
 
 
 _WINDOW_HALFWIDTHS = 200  # K in the oracle docstring
@@ -179,20 +203,9 @@ def _oracle_channel(s, omega, t):
 def accumulated_rate(s, omega, t):
     """I(omega, t) = int_0^t gamma(omega, t') dt', in closed form.
 
-    The antiderivative of the rate expression (derivation in
-    docs/rate_integral.md) is
-
-        I = k * ( t + (d^2 - lam^2)/(lam D)
-                  - e^{-lam t} [ 2 d sin(d t) + ((d^2 - lam^2)/lam) cos(d t) ] / D ),
-
-    with d = omega1 - omega and D = d^2 + lam^2; it vanishes at t = 0 and
+    I = alpha lam t^2 Re phi_2(-z t) with z = lam - i(omega1 - omega)
+    (derivation in docs/rate_integral.md); it vanishes at t = 0 and
     broadcasts over omega and t like rate_closed_form.
     """
     _check_nonnegative_time(t)
-    d = s.omega1 - omega
-    lam2 = s.lam * s.lam
-    D = d * d + lam2
-    k = s.alpha * lam2 / D
-    c = (d * d - lam2) / s.lam
-    return k * (t + c / D
-                - np.exp(-s.lam * t) * (2.0 * d * np.sin(d * t) + c * np.cos(d * t)) / D)
+    return s.alpha * s.lam * t * t * _phi(-_exponent(s, omega) * t, 2).real

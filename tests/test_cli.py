@@ -192,15 +192,15 @@ def test_evolve_tcl_ode_with_oracle_rates_matches_analytic(capsys):
     assert np.max(np.abs(rows - ref_rows)) < 1e-8
 
 
-@pytest.mark.parametrize("lam", ["1e-300", "1e200"])
+@pytest.mark.parametrize("lam", ["1e9", "1e200"])
 def test_tcl_ode_with_nan_initial_rate_is_one_numerical_error_line(lam):
-    # lam*lam underflows to 0 (the resonant rate reads 0/0) or overflows
-    # (inf/inf), so the derivative at t = 0 is NaN, which would leave DOP853
-    # rejecting steps forever; the timeout turns such a hang into a failure
+    # alpha*lam overflows to inf, so the rate at t = 0 reads inf * 0 and the
+    # derivative there is NaN, which would leave DOP853 rejecting steps
+    # forever; the timeout turns such a hang into a failure
     proc = subprocess.run(
         [sys.executable, "-m", "leakycavity.cli", "evolve", "--config", os.devnull,
-         "--set", "solver.mode=tcl-ode", "--set", f"reservoir.lambda={lam}",
-         "--set", "evolve.n_output=3"],
+         "--set", "solver.mode=tcl-ode", "--set", "reservoir.alpha=1e300",
+         "--set", f"reservoir.lambda={lam}", "--set", "evolve.n_output=3"],
         env=_child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == "error: numerical: non-finite derivative at t=0\n"
@@ -208,12 +208,13 @@ def test_tcl_ode_with_nan_initial_rate_is_one_numerical_error_line(lam):
 
 @pytest.mark.parametrize("settings, message", [
     (["solver.mode=tcl-ode", "evolve.t_max=1e300"], "under 1% of the span"),
-    (["solver.mode=tcl-ode", "reservoir.alpha=1e300"], "step size underflow"),
+    (["solver.mode=tcl-ode", "reservoir.alpha=1e300"], "under 1% of the span"),
 ], ids=["tcl-ode-horizon", "tcl-ode-stiff"])
 def test_hopeless_ode_horizon_is_one_numerical_error_line(settings, message):
-    # 1% of the RHS-call budget covers under 1% of the first span, and rates
-    # of order 1e300 shrink DOP853's step below its floor, so the ODE stops
-    # in about a second; the timeout turns spending the budget into a failure
+    # 1% of the RHS-call budget covers under 1% of the first span, whether
+    # the span is huge or rates of order 1e300 hold DOP853's step near
+    # 1e-300, so the ODE stops in about a second or two; the timeout turns
+    # spending the budget into a failure
     proc = subprocess.run(
         [sys.executable, "-m", "leakycavity.cli", "evolve", "--config", os.devnull,
          "--set", "evolve.n_output=3", *(a for kv in settings for a in ("--set", kv))],
@@ -466,6 +467,29 @@ def test_missing_config_flag_exit_2(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["figures", "--id", "9", "--case", "a"],
+     "argument --id: invalid choice: 9 (choose from 1, 2, 3)"),
+    # argparse reads a negative number in exponent form as a flag; the
+    # --t-max=-1e+300 spelling reaches the range check instead
+    (["figures", "--id", "1", "--case", "a", "--t-max", "-1e+300"],
+     "argument --t-max: expected one argument"),
+    (["figures", "--id", "1", "--case", "a", "--bogus"], "unrecognized arguments: --bogus"),
+    (["sweep", "--config", os.devnull, "--param", "lambda", "--from", "0.1", "--to", "1"],
+     "the following arguments are required: --steps"),
+])
+def test_usage_error_is_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: usage: {message}\n"
+
+
+def test_subcommand_help_exits_zero(capsys):
+    code, out, err = run_cli(["figures", "-h"], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: leakycavity figures")
+
+
 def test_malformed_config_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, "reservoir.alpha = -3\n")
     code, _, err = run_cli(["evolve", "--config", path], capsys)
@@ -510,9 +534,9 @@ def test_rotating_wave_warning_is_one_stderr_line(tmp_path, capsys):
 @pytest.mark.parametrize("override, code, prefix", [
     ("evolve.t_max=inf", 2, "error: config: evolve.t_max must be finite"),
     ("reservoir.alpha=inf", 2, "error: config: reservoir.alpha must be finite"),
-    # finite but so narrow that lam*lam underflows and the rates read 0/0
-    ("reservoir.lambda=1e-300", 3, "error: numerical: non-finite values"),
-    # so wide that lam*lam overflows and the rates read inf/inf
+    # finite, but at alpha = 1e300 so wide that alpha*lam overflows and the
+    # accumulated rates read inf * 0 at t = 0
+    ("reservoir.lambda=1e9", 3, "error: numerical: non-finite values"),
     ("reservoir.lambda=1e200", 3, "error: numerical: non-finite values in the evolve table"),
 ])
 def test_nonfinite_input_or_output_is_one_error_line(tmp_path, capsys, override,
@@ -520,8 +544,8 @@ def test_nonfinite_input_or_output_is_one_error_line(tmp_path, capsys, override,
     path = write_config(tmp_path, CASE_B)
     out_path = tmp_path / "out.csv"
     got, out, err = run_cli(
-        ["evolve", "--config", path, "--set", override,
-         "--set", f"output.path={out_path}"], capsys)
+        ["evolve", "--config", path, "--set", "reservoir.alpha=1e300",
+         "--set", override, "--set", f"output.path={out_path}"], capsys)
     assert got == code
     assert err.startswith(prefix) and err.count("\n") == 1
     assert out == "" and not out_path.exists()
@@ -581,18 +605,53 @@ def test_oracle_past_panel_budget_is_one_numerical_error_line(capsys):
 
 
 @pytest.mark.parametrize("argv, what", [
-    (["sweep", "--param", "lambda", "--from", "1e200", "--to", "1e200", "--steps", "1"],
-     "trajectory at lambda=1e+200"),
+    (["sweep", "--param", "lambda", "--from", "1e200", "--to", "1e200", "--steps", "1",
+      "--set", "reservoir.alpha=1e300"], "trajectory at lambda=1e+200"),
     (["sweep", "--param", "lambda", "--from", "0.05", "--to", "0.05", "--steps", "1",
       "--set", "reservoir.alpha=5e-324"], "sweep table"),
-    (["rates", "--set", "reservoir.lambda=1e200"], "rates table"),
+    (["rates", "--set", "reservoir.lambda=1e200", "--set", "reservoir.alpha=1e300"],
+     "rates table"),
 ], ids=["sweep-overflow", "sweep-zero-division", "rates-overflow"])
 def test_float_arithmetic_error_is_one_numerical_error_line(capsys, argv, what):
-    # lam*lam overflows, or the rate ratio divides 0 by 0: the NaN reaches
-    # the finite check of the table, which names it
+    # alpha*lam overflows, so a rate at t = 0 reads inf * 0, or the rate
+    # ratio divides 0 by 0: the NaN reaches the finite check of the table,
+    # which names it
     code, out, err = run_cli([argv[0], "--config", os.devnull, *argv[1:]], capsys)
     assert code == 3 and out == ""
     assert err == f"error: numerical: non-finite values in the {what}\n"
+
+
+@pytest.mark.parametrize("lam", ["1e-300", "1e200"])
+def test_extreme_width_gives_finite_exact_tables(capsys, lam):
+    # lam*lam would underflow or overflow; the closed forms never form it.
+    # At lam = 1e200 the spectrum is flat over both channels, so each rate is
+    # alpha for t > 0 and P_-+ = exp(-alpha t/2)/2; at lam = 1e-300 the peak
+    # holds weight alpha lam/2, so the rates are alpha lam t and alpha lam sin t
+    # to first order, and P_-+ stays 1/2
+    alpha, t_max, n = 0.1, 10.0, 11
+    common = ["--config", os.devnull, "--set", f"reservoir.lambda={lam}",
+              "--set", f"evolve.t_max={t_max}", "--set", f"evolve.n_output={n}"]
+    code, out, err = run_cli(["rates", *common], capsys)
+    assert code == 0 and err == ""
+    _, rates = parse_csv(out)
+    t, lam = rates[:, 0], float(lam)
+    if lam > 1.0:
+        gammas = (alpha * -np.expm1(-lam * t), np.where(t > 0.0, alpha, 0.0))
+        P = 0.5 * np.exp(-0.5 * alpha * t)
+    else:
+        gammas = (alpha * lam * t, alpha * lam * np.sin(t))
+        P = np.full(n, 0.5)
+    np.testing.assert_allclose(rates[:, 1:], np.column_stack(gammas), rtol=1e-11, atol=0.0)
+    tables = {}
+    for mode in ("analytic", "tcl-ode"):
+        code, out, err = run_cli(["evolve", *common, "--set", f"solver.mode={mode}"], capsys)
+        assert code == 0 and err == ""
+        header, tables[mode] = parse_csv(out)
+        assert tables[mode].shape == (n, 11) and np.all(np.isfinite(tables[mode]))
+    analytic = tables["analytic"]
+    for name in ("P_minus", "P_plus"):
+        np.testing.assert_allclose(analytic[:, header.index(name)], P, rtol=1e-11, atol=0.0)
+    assert np.max(np.abs(tables["tcl-ode"] - analytic)) < 1e-8
 
 
 def test_quadpack_warning_is_one_numerical_error_line(capsys):

@@ -6,9 +6,10 @@ code is 0, 2 or 3; stderr is 'error:' and 'warning:' lines only, with one
 'error:' line exactly when the exit is nonzero, and never a bare Python
 arithmetic message or errno tuple; a table written on exit 0 is finite
 (bar the plateau columns of sweep, NaN by design where nothing qualifies).
-The tcl-ode solver is left out: a hopeless horizon costs about a second.
-Flags are well-formed, because argparse answers a malformed one with its
-own usage message, several lines long (exit 2).
+The argv is drawn malformed as well: a flag dropped, repeated, unknown or
+left without its value, or a negative number given as a separate argument.
+The tcl-ode solver runs on a handful of examples at t_max <= 10, since a
+hopeless horizon costs a second or two before the ODE's pace check stops it.
 """
 
 import contextlib
@@ -91,6 +92,57 @@ def quadrature_runs(draw):
     return argv, n_output, slice(None)
 
 
+def _groups(args):
+    """The options of an argv tail, each flag with the values that follow it."""
+    groups = []
+    for arg in args:
+        if arg.startswith("--"):
+            groups.append([arg])
+        else:
+            groups[-1].append(arg)
+    return groups
+
+
+# every flag of every subcommand, a typo and a prefix argparse expands
+_FLAGS = ["--config", "--set", "--id", "--case", "--t-max", "--n-points",
+          "--param", "--from", "--to", "--steps", "--t_max", "--bogus", "--st"]
+
+
+@st.composite
+def malformed_runs(draw):
+    """(argv, rows, finite columns) of a closed-form run whose flags are mangled."""
+    argv, _, finite = draw(closed_form_runs())
+    groups = _groups(argv[1:])
+    i = draw(st.integers(0, len(groups) - 1))
+    at = draw(st.integers(0, len(groups)))
+    kind = draw(st.sampled_from(["drop", "repeat", "unknown", "no value", "negative"]))
+    if kind == "drop":
+        del groups[i]
+    elif kind == "repeat":
+        groups.insert(at, groups[i])
+    elif kind == "unknown":
+        groups.insert(at, [draw(st.sampled_from(["--bogus", "--t_max=1", "-x", "--"]))])
+    elif kind == "no value":
+        groups.insert(at, [groups.pop(i)[0].split("=")[0]])
+    else:
+        number = draw(st.one_of(st.floats(max_value=-0.0), st.integers(max_value=-1)))
+        groups.insert(at, [draw(st.sampled_from(_FLAGS)), repr(number)])
+    # a changed grid changes the row count
+    return [argv[0], *(arg for group in groups for arg in group)], None, finite
+
+
+@st.composite
+def tcl_ode_runs(draw):
+    """(argv, rows, finite columns) of a tcl-ode evolve run, t_max <= 10."""
+    n_output = draw(st.integers(2, 5))
+    t_max = draw(st.one_of(st.floats(1e-3, 10.0), st.floats(max_value=10.0),
+                           st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0),
+                                     st.integers(-323, 0))))
+    argv = ["evolve", "--config", os.devnull, "--set", "solver.mode=tcl-ode",
+            *_float_keys(draw, **{"evolve.n_output": n_output, "evolve.t_max": t_max})]
+    return argv, n_output, slice(None)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -124,4 +176,16 @@ def test_cli_contract_on_the_closed_forms(run):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(run=quadrature_runs())
 def test_cli_contract_on_the_quadrature_oracle(run):
+    _check_contract(*run)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(run=malformed_runs())
+def test_cli_contract_on_malformed_flags(run):
+    _check_contract(*run)
+
+
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(run=tcl_ode_runs())
+def test_cli_contract_on_the_tcl_ode(run):
     _check_contract(*run)

@@ -11,7 +11,7 @@ from leakycavity.analysis import reference_case
 from leakycavity.numerics import QuadratureError
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
                                   rate_closed_form, rate_quadrature_oracle,
-                                  spectral_density, stationary_rate)
+                                  stationary_rate)
 
 # an off-reference spectrum so checks do not rely on the canonical numbers
 GENERIC = LorentzianSpectrum(alpha=0.2, lam=0.37, omega1=5.0)
@@ -25,7 +25,12 @@ def test_spectrum_validation():
 
 
 def test_density_peak_halfwidth_and_tail():
+    # the spectral density J read off the stationary rate, 2 pi J
     s = GENERIC
+
+    def spectral_density(s, omega):
+        return stationary_rate(s, omega) / (2 * np.pi)
+
     assert abs(spectral_density(s, s.omega1) - s.alpha / (2 * np.pi)) < 1e-16
     for sign in (-1, 1):
         val = spectral_density(s, s.omega1 + sign * s.lam)
@@ -106,9 +111,10 @@ def test_stationary_rate_values():
                - 0.1) < 1e-12
     assert abs(stationary_rate(sb, sys.channels[1]) / stationary_rate(sb, sys.channels[0])
                - 0.01) < 1e-12
-    # definitionally 2 pi J
-    w = 4.2
-    assert stationary_rate(GENERIC, w) == 2 * np.pi * spectral_density(GENERIC, w)
+    # 2 pi J, with J the Lorentzian of the module docstring
+    s, w = GENERIC, 4.2
+    J = s.alpha * s.lam**2 / (2 * np.pi * ((s.omega1 - w)**2 + s.lam**2))
+    assert abs(stationary_rate(s, w) - 2 * np.pi * J) <= 4 * np.finfo(float).eps * 2 * np.pi * J
 
 
 def test_oracle_trivial_time_and_preconditions():
@@ -277,14 +283,68 @@ def test_oracle_point_does_not_depend_on_the_batch(log_lam, offset, below, above
     np.testing.assert_array_equal(got, want)
 
 
-def gamma_50_digits(s, omega, t):
-    """The closed-form rate evaluated in 50-digit arithmetic."""
-    with mpmath.workdps(50):
-        d = mpmath.mpf(s.omega1) - mpmath.mpf(omega)
-        lam, t = mpmath.mpf(s.lam), mpmath.mpf(t)
-        k = mpmath.mpf(s.alpha) * lam**2 / (d**2 + lam**2)
-        return k * (1 + ((d / lam) * mpmath.sin(d * t) - mpmath.cos(d * t))
-                    * mpmath.exp(-lam * t))
+def closed_forms_50_digits(s, omega, t):
+    """(gamma, I) in 50-digit arithmetic, from the float parameters taken exactly.
+
+    gamma = alpha lam t Re phi_1(w) and I = alpha lam t^2 Re phi_2(w), with
+    w = -z t, z = lam - i(omega1 - omega), phi_1(w) = expm1(w)/w and
+    phi_2 = (phi_1 - 1)/w.  That quotient loses the digits of 1/|w|, which
+    the working precision adds back.
+    """
+    size = abs(complex(s.lam, s.omega1 - omega)) * t
+    with mpmath.workdps(50 + (int(-np.log10(size)) if 0.0 < size < 1.0 else 0)):
+        z = mpmath.mpc(s.lam, -(mpmath.mpf(s.omega1) - mpmath.mpf(omega)))
+        t = mpmath.mpf(t)
+        w = -z * t
+        if not w:
+            return mpmath.mpf(0), mpmath.mpf(0)
+        phi1 = mpmath.expm1(w) / w
+        phi2 = (phi1 - 1) / w
+        alpha_lam = mpmath.mpf(s.alpha) * mpmath.mpf(s.lam)
+        return alpha_lam * t * phi1.real, alpha_lam * t * t * phi2.real
+
+
+def _assert_closed_forms_match_50_digits(s, omega, t, rel):
+    got = rate_closed_form(s, omega, t), accumulated_rate(s, omega, t)
+    for name, value, exact in zip(("gamma", "I"), got, closed_forms_50_digits(s, omega, t)):
+        assert abs(value - exact) <= rel * abs(exact), (name, s, omega, t, value, exact)
+
+
+def test_closed_forms_match_50_digits_across_the_decades():
+    # 168 points with lam t and |d| t from 1e-14 to 1e3, the short-time end
+    # included, where real-arithmetic forms subtract nearly equal terms;
+    # omega1 = 0 and omega = -d make the detuning d exact
+    for lam in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0):
+        s = LorentzianSpectrum(alpha=0.1, lam=lam, omega1=0.0)
+        for d in (0.0, 1e-3 * lam, 10.0 * lam, 1.0):
+            for t in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 100.0):
+                _assert_closed_forms_match_50_digits(s, -d, t, rel=1e-12)
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(alpha=_decades(-6.0, 2.0), lam=_decades(-8.0, 4.0),
+       ratio=st.one_of(st.just(0.0), _decades(-6.0, 6.0)), sign=st.sampled_from((-1.0, 1.0)),
+       size=_decades(-14.0, 3.0))
+def test_closed_forms_properties_across_the_decades(alpha, lam, ratio, sign, size):
+    # d = omega1 - omega runs from 1e-6 lam to 1e6 lam; t is drawn through
+    # |w| = |z| t up to 1e3, beyond which the rounding of w itself moves the
+    # oscillating factor by more than 1e-12
+    s = LorentzianSpectrum(alpha=alpha, lam=lam, omega1=0.0)
+    omega = -sign * ratio * lam
+    t = size / abs(complex(lam, ratio * lam))
+    _assert_closed_forms_match_50_digits(s, omega, t, rel=1e-12)
+    assert rate_closed_form(s, omega, 0.0) == 0.0
+    assert accumulated_rate(s, omega, 0.0) == 0.0
+    # dI/dt = gamma by a central difference: against alpha lam t / (1 + |w|),
+    # the size of gamma, its truncation error (h |w| / t)^2 / 6 is below 2e-7
+    h = 1e-3 * t / (1.0 + size)
+    lo, hi = t - h, t + h
+    slope = (accumulated_rate(s, omega, hi) - accumulated_rate(s, omega, lo)) / (hi - lo)
+    assert abs(slope - rate_closed_form(s, omega, t)) <= 1e-6 * alpha * lam * t / (1.0 + size)
 
 
 @pytest.mark.xfail(strict=True, reason="below t ~ 2e-7 QAWF returns a Fourier tail "
@@ -295,6 +355,6 @@ def test_oracle_relative_accuracy_at_tiny_time():
         sys, s = reference_case(case)
         for w in sys.channels.tolist():
             for t in (1e-9, 1e-8):
-                exact = gamma_50_digits(s, w, t)
+                exact, _ = closed_forms_50_digits(s, w, t)
                 errors.append(float(abs((rate_quadrature_oracle(s, w, t) - exact) / exact)))
     assert max(errors) <= 1e-8
