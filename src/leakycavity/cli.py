@@ -1,19 +1,21 @@
 """Batch front-end: config parsing, subcommand dispatch, CSV emission.
 
-Subcommands: rates, evolve, figures, sweep.  Configuration is a flat
-text file of ``section.key = value`` lines ('#' starts a comment), each
-key at most once; ``--set section.key=value`` overrides individual
-entries.  Every float must be finite.  Output is CSV with a header row,
-12 significant digits by default, written to output.path ('-' means
-stdout).  Runs are fully deterministic: the same config yields
-byte-identical output.
+The subcommands, each with its handler and one-line help, are the table
+``_COMMANDS``; argparse builds the usage and ``-h`` from it.
+Configuration is a flat text file of ``section.key = value`` lines ('#'
+starts a comment), each key at most once; ``--set section.key=value``
+overrides individual entries.  Every float must be finite.  Output is
+CSV with a header row, 12 significant digits by default, written to
+output.path ('-' means stdout).  Runs are fully deterministic: the same
+config yields byte-identical output.
 
 Exit codes: 0 success, 2 malformed config or usage (including an output
 file or stdout pipe that cannot be written), 3 numerical failure (including a
 table that would hold NaN or inf) or out of memory, 64 unknown subcommand.
-Each error is one 'error:' stderr line, a malformed or missing flag
-included ('error: usage: ...').  A warning, such as the rotating-wave one,
-is one 'warning:' stderr line.
+Each error is one 'error:' stderr line, a malformed or missing flag or
+subcommand included ('error: usage: ...'); so a bare ``leakycavity`` is one
+usage line, and ``-h`` writes the generated help to stdout.  A warning,
+such as the rotating-wave one, is one 'warning:' stderr line.
 """
 
 import argparse
@@ -255,23 +257,11 @@ def cmd_sweep(args, cfg):
 
 
 _COMMANDS = {
-    "rates": cmd_rates,
-    "evolve": cmd_evolve,
-    "figures": cmd_figures,
-    "sweep": cmd_sweep,
+    "rates": (cmd_rates, "tabulate the two dressed-channel decay rates on a time grid"),
+    "evolve": (cmd_evolve, "propagate the master equation and tabulate populations"),
+    "figures": (cmd_figures, "emit one of the reference tables (--id 1|2|3 --case a|b)"),
+    "sweep": (cmd_sweep, "scan the spectral width and report trapping per point"),
 }
-
-_USAGE = """\
-usage: leakycavity <subcommand> [options]
-
-subcommands:
-  rates    tabulate the two dressed-channel decay rates on a time grid
-  evolve   propagate the master equation and tabulate populations
-  figures  emit one of the reference tables (--id 1|2|3 --case a|b)
-  sweep    scan the spectral width and report trapping per point
-
-common options: --config FILE, --set section.key=value (repeatable)
-"""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -281,38 +271,35 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-def _build_parser(cmd):
-    parser = _ArgumentParser(prog=f"leakycavity {cmd}")
-    parser.add_argument("--config", required=cmd != "figures",
-                        help="path to a 'section.key = value' config file")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override one config entry")
-    if cmd == "figures":
-        parser.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
-        parser.add_argument("--case", choices=("a", "b"), required=True)
-        parser.add_argument("--t-max", type=float, default=None, dest="t_max")
-        parser.add_argument("--n-points", type=int, default=None, dest="n_points")
-    if cmd == "sweep":
-        parser.add_argument("--param", choices=("lambda",), required=True)
-        parser.add_argument("--from", type=float, required=True, dest="lo")
-        parser.add_argument("--to", type=float, required=True, dest="hi")
-        parser.add_argument("--steps", type=int, required=True)
+def _build_parser():
+    parser = _ArgumentParser(prog="leakycavity")
+    subparsers = parser.add_subparsers(dest="cmd", required=True, metavar="<subcommand>")
+    for cmd, (_, help_line) in _COMMANDS.items():
+        sub = subparsers.add_parser(cmd, help=help_line)
+        sub.add_argument("--config", required=cmd != "figures",
+                         help="path to a 'section.key = value' config file")
+        sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                         help="override one config entry")
+    figures, sweep = subparsers.choices["figures"], subparsers.choices["sweep"]
+    figures.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
+    figures.add_argument("--case", choices=("a", "b"), required=True)
+    figures.add_argument("--t-max", type=float, default=None, dest="t_max")
+    figures.add_argument("--n-points", type=int, default=None, dest="n_points")
+    sweep.add_argument("--param", choices=("lambda",), required=True)
+    sweep.add_argument("--from", type=float, required=True, dest="lo")
+    sweep.add_argument("--to", type=float, required=True, dest="hi")
+    sweep.add_argument("--steps", type=int, required=True)
     return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        stream = sys.stderr if not argv else sys.stdout
-        stream.write(_USAGE)
-        return 2 if not argv else 0
-    cmd, rest = argv[0], argv[1:]
-    if cmd not in _COMMANDS:
-        sys.stderr.write(f"error: usage: unknown subcommand {cmd!r}, "
-                         "expected rates, evolve, figures or sweep\n")
+    if argv and argv[0] not in (*_COMMANDS, "-h", "--help"):
+        sys.stderr.write(f"error: usage: unknown subcommand {argv[0]!r}, "
+                         f"expected one of {', '.join(_COMMANDS)}\n")
         return 64
     try:
-        args = _build_parser(cmd).parse_args(rest)
+        args = _build_parser().parse_args(argv)
     except argparse.ArgumentError as exc:
         sys.stderr.write(f"error: usage: {exc}\n")
         return 2
@@ -325,7 +312,7 @@ def main(argv=None):
             # overflow and 0/0 surface through _require_finite as one error
             # line, not as RuntimeWarnings on stderr
             with np.errstate(all="ignore"):
-                columns, values = _COMMANDS[cmd](args, cfg)
+                columns, values = _COMMANDS[args.cmd][0](args, cfg)
             write_csv(columns, values, cfg.output_path, cfg.precision)
             return 0
         except (QuadratureError, OdeSolveError,

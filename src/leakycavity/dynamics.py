@@ -1,12 +1,13 @@
 """Dissipative dynamics of a two-level atom in a leaky cavity, one-excitation sector.
 
 At resonance the atom-cavity system is diagonalized by the dressed states
-|E1,+-> = (|1,g> +- |0,e>)/sqrt(2) with energies omega0/2 -+ Omega; together
+|E1,+-> = (|1,g> +- |0,e>)/sqrt(2) with energies omega0/2 +- Omega; together
 with the ground state |E0> = |0,g> they span the full state space reachable
 from an initially excited atom in an empty, zero-temperature cavity.  The
 reservoir couples each dressed state to |E0> through its own channel with
-its own time-dependent rate gamma(omega0 -+ Omega, t), giving the
-time-local master equation
+its own time-dependent rate gamma(omega0 +- Omega, t), giving the
+time-local master equation, in the frame rotating at omega0 on the
+excitation number (H = diag(0, -Omega, +Omega), less a constant)
 
     drho/dt = -i[H, rho]
               + sum_c gamma_c(t) * ( L_c rho L_c^dag / 2
@@ -49,8 +50,9 @@ class SystemParams:
     """Atomic Bohr frequency omega0 and vacuum Rabi coupling Omega.
 
     The documented canonical configuration sets 2*Omega = 1 so times are
-    in units of 1/(2 Omega).  omega0 only shifts absolute energies; it
-    never moves a population (checked by test).  The dressed-channel
+    in units of 1/(2 Omega).  omega0 enters the dynamics only through
+    ``channels``, where the reservoir is probed; it never moves a
+    population (checked by test).  The dressed-channel
     dissipator assumes Omega << omega0, so Omega/omega0 > 0.1 draws a
     warning rather than an error.
     """
@@ -100,10 +102,8 @@ class Trajectory:
 
 
 def hamiltonian(sys):
-    """Dressed-basis Hamiltonian diag(-omega0/2, omega0/2 - Omega, omega0/2 + Omega)."""
-    return np.diag([-0.5 * sys.omega0,
-                    0.5 * sys.omega0 - sys.Omega,
-                    0.5 * sys.omega0 + sys.Omega]).astype(complex)
+    """Dressed-basis Hamiltonian diag(0, -Omega, +Omega): 2 Omega exact at any omega0."""
+    return np.diag([0.0, -sys.Omega, sys.Omega]).astype(complex)
 
 
 def initial_state_atom_excited():

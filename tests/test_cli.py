@@ -224,6 +224,19 @@ def test_hopeless_ode_horizon_is_one_numerical_error_line(settings, message):
     assert message in proc.stderr and proc.stderr.count("\n") == 1
 
 
+def test_tcl_ode_matches_analytic_at_huge_omega0(capsys):
+    # 2 Omega is far below an ulp of omega0 = 1e20; the coherence still rotates
+    argv = ["evolve", "--config", os.devnull, "--set", "system.omega0=1e20",
+            "--set", "evolve.t_max=3", "--set", "evolve.n_output=4",
+            "--set", "output.precision=17"]
+    tables = []
+    for mode in ("analytic", "tcl-ode"):
+        code, out, err = run_cli(argv + ["--set", f"solver.mode={mode}"], capsys)
+        assert code == 0 and err == ""
+        tables.append(parse_csv(out)[1])
+    assert np.max(np.abs(tables[0] - tables[1])) < 1e-10
+
+
 def test_phenomenological_at_huge_kappa_puts_the_atom_in_g(capsys):
     # the closed form has no step to underflow: every state after t = 0 is |E0>
     code, out, err = run_cli(
@@ -446,19 +459,24 @@ def test_sweep_rejects_an_omega1_it_would_ignore(tmp_path, capsys):
 def test_no_arguments_prints_usage(capsys):
     code, out, err = run_cli([], capsys)
     assert code == 2 and out == ""
-    assert "usage" in err and "subcommands" in err
+    assert err == "error: usage: the following arguments are required: <subcommand>\n"
 
 
 def test_help_exits_zero(capsys):
-    code, out, _ = run_cli(["-h"], capsys)
-    assert code == 0
-    assert "usage" in out
+    code, out, err = run_cli(["-h"], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: leakycavity")
+    # argparse lists every subcommand with its one-line help
+    lines = [line.split(None, 1) for line in out.splitlines()]
+    for cmd, (_, help_line) in cli._COMMANDS.items():
+        assert [cmd, help_line] in lines
 
 
 def test_unknown_subcommand_exit_64(capsys):
     code, _, err = run_cli(["render", "--config", "x.cfg"], capsys)
     assert code == 64
-    assert "unknown subcommand" in err
+    assert err == ("error: usage: unknown subcommand 'render', "
+                   f"expected one of {', '.join(cli._COMMANDS)}\n")
 
 
 def test_missing_config_flag_exit_2(capsys):

@@ -7,7 +7,8 @@ code is 0, 2 or 3; stderr is 'error:' and 'warning:' lines only, with one
 arithmetic message or errno tuple; a table written on exit 0 is finite
 (bar the plateau columns of sweep, NaN by design where nothing qualifies).
 The argv is drawn malformed as well: a flag dropped, repeated, unknown or
-left without its value, or a negative number given as a separate argument.
+left without its value, a negative number given as a separate argument,
+or no argument at all.
 The tcl-ode solver runs on a handful of examples at t_max <= 10, since a
 hopeless horizon costs a second or two before the ODE's pace check stops it.
 """
@@ -115,7 +116,10 @@ def malformed_runs(draw):
     groups = _groups(argv[1:])
     i = draw(st.integers(0, len(groups) - 1))
     at = draw(st.integers(0, len(groups)))
-    kind = draw(st.sampled_from(["drop", "repeat", "unknown", "no value", "negative"]))
+    kind = draw(st.sampled_from(["drop", "repeat", "unknown", "no value", "negative",
+                                 "empty"]))
+    if kind == "empty":
+        return [], None, finite
     if kind == "drop":
         del groups[i]
     elif kind == "repeat":

@@ -227,6 +227,19 @@ def test_ode_rates_forced_to_zero_gives_rabi_oscillation():
     assert np.max(np.abs(traj.P_minus - 0.5)) < 1e-10
 
 
+def test_tcl_ode_keeps_the_rabi_splitting_at_large_omega0():
+    # H rotates at omega0, so 2 Omega is not rebuilt as the difference of two
+    # energies near omega0/2, which at omega0 = 1e8 rounds it by 1e-8
+    sys = SystemParams(omega0=1e8, Omega=1.0 / 3.0)
+    s = LorentzianSpectrum(alpha=0.1, lam=1.0 / 3.0, omega1=sys.channels[0])
+    ts = np.linspace(0.0, 100.0, 2001)
+    got = evolve_tcl_ode(sys, s, ts)
+    assert np.max(np.abs(got.states - evolve_analytic(sys, s, ts).states)) < 1e-8
+    gens = [np.array(dynamics._generator(SystemParams(omega0=omega0, Omega=1.0 / 3.0)))
+            for omega0 in (50.0, 1e20)]
+    assert gens[0].tobytes() == gens[1].tobytes()
+
+
 def _per_call_rhs(sys, rates):
     """Reference RHS: the master equation re-derived on 3x3 states at every call."""
     H = hamiltonian(sys)
