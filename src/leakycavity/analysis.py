@@ -1,5 +1,5 @@
 """Quantitative checks on trajectories: trapping plateaus, stationary rate
-ratios, and the reference tables behind the standard figures.
+ratios, and the two reference cases behind the standard figures.
 
 The canonical configuration used throughout sets 2*Omega = 1, alpha = 0.2*Omega
 and peaks the reservoir on the lower dressed channel, omega1 = omega0 - Omega.
@@ -11,15 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemParams, evolve_analytic
-from .spectral import LorentzianSpectrum, rate_closed_form, stationary_rate
+from .dynamics import SystemParams
+from .spectral import LorentzianSpectrum, stationary_rate
 
 __all__ = [
     "TrappingReport",
     "detect_plateau",
     "asymptotic_rate_ratio",
     "reference_case",
-    "figure_data",
 ]
 
 
@@ -127,32 +126,3 @@ def reference_case(case):
     s = LorentzianSpectrum(alpha=0.2 * sys.Omega, lam=lam,
                            omega1=sys.omega0 - sys.Omega)
     return sys, s
-
-
-_FIGURE_DEFAULTS = {1: (20.0, 801), 2: (100.0, 2001), 3: (300.0, 6001)}
-
-
-def figure_data(figure_id, case, t_max=None, n_points=None):
-    """Reference tables: 1 = both channel rates, 2 = P_0g, 3 = P_atom_g.
-
-    Returns ``(columns, values)``, values of shape (n_points, len(columns)).
-    Times in units of 1/(2 Omega), rates in units of 2 Omega (numerically
-    direct since the canonical configuration sets 2 Omega = 1).  Output is
-    deterministic for fixed arguments.
-    """
-    if figure_id not in _FIGURE_DEFAULTS:
-        raise ValueError(f"unknown figure id {figure_id!r}, expected 1, 2 or 3")
-    sys, s = reference_case(case)
-    default_tmax, default_n = _FIGURE_DEFAULTS[figure_id]
-    t_max = default_tmax if t_max is None else float(t_max)
-    n_points = default_n if n_points is None else int(n_points)
-    if not 0.0 < t_max < np.inf or n_points < 2:
-        raise ValueError("need 0 < t_max < inf and n_points >= 2")
-    t = np.linspace(0.0, t_max, n_points)
-    if figure_id == 1:
-        rates = rate_closed_form(s, sys.channels[:, None], t)
-        return ("t", "gamma_minus", "gamma_plus"), np.column_stack([t, rates.T])
-    traj = evolve_analytic(sys, s, t)
-    if figure_id == 2:
-        return ("t", "P_0g"), np.column_stack([t, traj.P_0g])
-    return ("t", "P_atom_g"), np.column_stack([t, traj.P_atom_g])

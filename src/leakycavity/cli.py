@@ -1,7 +1,10 @@
 """Batch front-end: config parsing, subcommand dispatch, CSV emission.
 
 The subcommands, each with its handler and one-line help, are the table
-``_COMMANDS``; argparse builds the usage and ``-h`` from it.
+``_COMMANDS``; argparse builds the usage and ``-h`` from it.  ``figures``
+is a preset of ``rates`` or ``evolve`` on the figure's grid from
+``_FIGURES``, which ``--t-max`` and ``--n-points`` override as
+evolve.t_max and evolve.n_output; of the config it reads only ``output.*``.
 Configuration is a flat text file of ``section.key = value`` lines ('#'
 starts a comment), each key at most once; ``--set section.key=value``
 overrides individual entries.  Every float must be finite.  Output is
@@ -11,7 +14,8 @@ config yields byte-identical output.
 
 Exit codes: 0 success, 2 malformed config or usage (including an output
 file or stdout pipe that cannot be written), 3 numerical failure (including a
-table that would hold NaN or inf) or out of memory, 64 unknown subcommand.
+table that would hold NaN or inf) or out of memory, 64 unknown subcommand
+(a first argument that is neither a subcommand nor an option).
 Each error is one 'error:' stderr line, a malformed or missing flag or
 subcommand included ('error: usage: ...'); so a bare ``leakycavity`` is one
 usage line, and ``-h`` writes the generated help to stdout.  A warning,
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .analysis import asymptotic_rate_ratio, detect_plateau, figure_data
+from .analysis import asymptotic_rate_ratio, detect_plateau, reference_case
 from .dynamics import (SystemParams, evolve_analytic, evolve_phenomenological,
                        evolve_tcl_ode)
 from .numerics import OdeSolveError, QuadratureError
@@ -223,11 +227,22 @@ def cmd_evolve(args, cfg):
     return cols, data
 
 
+# figure id -> (default evolve.t_max, default evolve.n_output, columns kept)
+_FIGURES = {1: (20.0, 801, ("t", "gamma_minus", "gamma_plus")),
+            2: (100.0, 2001, ("t", "P_0g")),
+            3: (300.0, 6001, ("t", "P_atom_g"))}
+
+
 def cmd_figures(args, cfg):
-    cols, data = figure_data(args.id, args.case, t_max=args.t_max,
-                             n_points=args.n_points)
-    _require_finite(data, "figure table")
-    return cols, data
+    """``rates`` (id 1) or ``evolve`` (ids 2, 3) on reference case ``args.case``."""
+    t_max, n_output, keep = _FIGURES[args.id]
+    sys_params, s = reference_case(args.case)
+    preset = RunConfig(omega0=sys_params.omega0, Omega=sys_params.Omega,
+                       alpha=s.alpha, lam=s.lam, omega1=s.omega1,
+                       t_max=t_max if args.t_max is None else args.t_max,
+                       n_output=n_output if args.n_points is None else args.n_points)
+    cols, data = (cmd_rates if args.id == 1 else cmd_evolve)(args, preset)
+    return keep, data[:, [cols.index(c) for c in keep]]
 
 
 def cmd_sweep(args, cfg):
@@ -281,7 +296,7 @@ def _build_parser():
         sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override one config entry")
     figures, sweep = subparsers.choices["figures"], subparsers.choices["sweep"]
-    figures.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
+    figures.add_argument("--id", type=int, choices=_FIGURES, required=True)
     figures.add_argument("--case", choices=("a", "b"), required=True)
     figures.add_argument("--t-max", type=float, default=None, dest="t_max")
     figures.add_argument("--n-points", type=int, default=None, dest="n_points")
@@ -294,7 +309,7 @@ def _build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] not in (*_COMMANDS, "-h", "--help"):
+    if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
         sys.stderr.write(f"error: usage: unknown subcommand {argv[0]!r}, "
                          f"expected one of {', '.join(_COMMANDS)}\n")
         return 64

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import leakycavity
 from leakycavity import analysis, dynamics, numerics, spectral
-from leakycavity.analysis import (asymptotic_rate_ratio, detect_plateau,
-                                  figure_data, reference_case)
+from leakycavity.analysis import asymptotic_rate_ratio, detect_plateau, reference_case
 from leakycavity.dynamics import SystemParams, evolve_analytic
 from leakycavity.spectral import LorentzianSpectrum
 from powerlaw import short_time_exponent
@@ -170,52 +169,3 @@ def test_reference_case_values():
     assert abs(sb.lam - 1.0 / np.sqrt(99.0)) < 1e-16
     with pytest.raises(ValueError):
         reference_case("c")
-
-
-def test_figure_rates_table():
-    columns, values = figure_data(1, "a")
-    assert columns == ("t", "gamma_minus", "gamma_plus")
-    assert values[0, 0] == 0.0
-    # both rates start at zero
-    assert values[0, 1] == 0.0 and values[0, 2] == 0.0
-    # lower-channel rate relaxes to alpha = 0.1 (units of 2 Omega)
-    _, long = figure_data(1, "a", t_max=60.0, n_points=1201)
-    assert abs(long[-1, 1] - 0.1) < 1e-9
-    # narrow case: upper-channel rate attains a negative minimum
-    _, tb = figure_data(1, "b")
-    assert tb[:, 2].min() < 0.0
-
-
-def test_figure_ground_state_population_table():
-    columns, values = figure_data(2, "b")
-    t = values[:, 0]
-    P_0g = values[:, 1]
-    assert columns == ("t", "P_0g")
-    assert P_0g[0] == 0.0
-    # rises to about one half and stays near it over the plotted window
-    assert np.any(P_0g[t < 80.0] > 0.45)
-    assert np.all(np.abs(P_0g[t >= 80.0] - 0.5) < 0.08)
-
-
-def test_figure_atomic_ground_table_and_overrides():
-    columns, values = figure_data(3, "a", t_max=10.0, n_points=11)
-    assert columns == ("t", "P_atom_g")
-    assert values.shape == (11, 2)
-    assert values[-1, 0] == 10.0
-
-
-def test_figure_data_is_deterministic():
-    _, a = figure_data(2, "b")
-    _, b = figure_data(2, "b")
-    assert np.array_equal(a, b)
-
-
-def test_figure_data_rejections():
-    with pytest.raises(ValueError):
-        figure_data(4, "a")
-    with pytest.raises(ValueError):
-        figure_data(1, "z")
-    with pytest.raises(ValueError):
-        figure_data(1, "a", n_points=1)
-    with pytest.raises(ValueError):
-        figure_data(2, "a", t_max=np.inf)

@@ -329,6 +329,101 @@ def test_figures_deterministic_output_files(tmp_path, capsys):
     assert text_only.getvalue() == first.decode()
 
 
+def run_figure(argv, capsys):
+    """Header and rows of a figures run at full precision, which must succeed."""
+    code, out, err = run_cli(["figures", *argv, "--set", "output.precision=17"], capsys)
+    assert code == 0 and err == ""
+    return parse_csv(out)
+
+
+def test_figure_rates_table(capsys):
+    columns, values = run_figure(["--id", "1", "--case", "a"], capsys)
+    assert columns == ["t", "gamma_minus", "gamma_plus"]
+    assert values[0, 0] == 0.0
+    # both rates start at zero
+    assert values[0, 1] == 0.0 and values[0, 2] == 0.0
+    # lower-channel rate relaxes to alpha = 0.1 (units of 2 Omega)
+    _, long = run_figure(["--id", "1", "--case", "a", "--t-max", "60", "--n-points", "1201"],
+                         capsys)
+    assert abs(long[-1, 1] - 0.1) < 1e-9
+    # narrow case: upper-channel rate attains a negative minimum
+    _, tb = run_figure(["--id", "1", "--case", "b"], capsys)
+    assert tb[:, 2].min() < 0.0
+
+
+def test_figure_ground_state_population_table(capsys):
+    columns, values = run_figure(["--id", "2", "--case", "b"], capsys)
+    t = values[:, 0]
+    P_0g = values[:, 1]
+    assert columns == ["t", "P_0g"]
+    assert P_0g[0] == 0.0
+    # rises to about one half and stays near it over the plotted window
+    assert np.any(P_0g[t < 80.0] > 0.45)
+    assert np.all(np.abs(P_0g[t >= 80.0] - 0.5) < 0.08)
+
+
+def test_figure_atomic_ground_table_and_overrides(capsys):
+    columns, values = run_figure(["--id", "3", "--case", "a", "--t-max", "10",
+                                  "--n-points", "11"], capsys)
+    assert columns == ["t", "P_atom_g"]
+    assert values.shape == (11, 2)
+    assert values[-1, 0] == 10.0
+
+
+def test_figure_tables_are_deterministic(capsys):
+    _, a = run_figure(["--id", "2", "--case", "b"], capsys)
+    _, b = run_figure(["--id", "2", "--case", "b"], capsys)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--id", "4", "--case", "a"], "error: usage: argument --id: invalid choice: 4"),
+    (["--id", "1", "--case", "z"], "error: usage: argument --case: invalid choice: "),
+    # --t-max and --n-points stand in for evolve.t_max and evolve.n_output
+    (["--id", "1", "--case", "a", "--n-points", "1"],
+     "error: config: evolve.n_output must be >= 2, got 1\n"),
+    (["--id", "2", "--case", "a", "--t-max", "inf"],
+     "error: config: evolve.t_max must be finite, got inf\n"),
+    (["--id", "3", "--case", "b", "--t-max=-1"],
+     "error: config: evolve.t_max must be positive, got -1.0\n"),
+], ids=["id-4", "case-z", "n-points-1", "t-max-inf", "t-max-negative"])
+def test_figure_rejections(capsys, argv, err):
+    code, out, got = run_cli(["figures", *argv], capsys)
+    assert code == 2 and out == ""
+    assert got.startswith(err) and got.count("\n") == 1
+
+
+def _columns(csv_text, names):
+    """The named columns of a CSV text, as a list of lines."""
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    keep = [rows[0].index(name) for name in names]
+    return [",".join(row[i] for i in keep) for row in rows]
+
+
+# the paper's figures: the subcommand each one presets, its grid and its columns
+_PAPER_FIGURES = {1: ("rates", 20.0, 801, ["t", "gamma_minus", "gamma_plus"]),
+                  2: ("evolve", 100.0, 2001, ["t", "P_0g"]),
+                  3: ("evolve", 300.0, 6001, ["t", "P_atom_g"])}
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+@pytest.mark.parametrize("fig", [1, 2, 3])
+def test_figures_are_rates_or_evolve_on_the_reference_case(capsys, fig, case):
+    cmd, t_max, n_output, names = _PAPER_FIGURES[fig]
+    precision = ["--set", "output.precision=17"]
+    code, figure, err = run_cli(["figures", f"--id={fig}", f"--case={case}", *precision],
+                                capsys)
+    assert code == 0 and err == ""
+    lam = float(reference_case(case)[1].lam)
+    code, full, err = run_cli(
+        [cmd, "--config", os.devnull, "--set", f"reservoir.lambda={lam!r}",
+         "--set", f"evolve.t_max={t_max!r}", "--set", f"evolve.n_output={n_output}",
+         *precision], capsys)
+    assert code == 0 and err == ""
+    # lists, not two ~200 kB strings, so that pytest's diff of a failure stays cheap
+    assert figure.endswith("\n") and figure.splitlines() == _columns(full, names)
+
+
 def _write_csv_per_value(columns, values, precision):
     """Reference writer: every value formatted on its own."""
     fmt = f"%.{precision}g"
@@ -495,6 +590,11 @@ def test_missing_config_flag_exit_2(capsys):
     (["figures", "--id", "1", "--case", "a", "--bogus"], "unrecognized arguments: --bogus"),
     (["sweep", "--config", os.devnull, "--param", "lambda", "--from", "0.1", "--to", "1"],
      "the following arguments are required: --steps"),
+    # an option ahead of the subcommand is a usage error, not an unknown subcommand
+    (["--bogus"], "the following arguments are required: <subcommand>"),
+    (["--version"], "the following arguments are required: <subcommand>"),
+    (["--config", "run.cfg", "evolve"], "argument <subcommand>: invalid choice: 'run.cfg' "
+     "(choose from 'rates', 'evolve', 'figures', 'sweep')"),
 ])
 def test_usage_error_is_one_error_line(capsys, argv, message):
     code, out, err = run_cli(argv, capsys)

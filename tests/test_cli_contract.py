@@ -8,7 +8,7 @@ arithmetic message or errno tuple; a table written on exit 0 is finite
 (bar the plateau columns of sweep, NaN by design where nothing qualifies).
 The argv is drawn malformed as well: a flag dropped, repeated, unknown or
 left without its value, a negative number given as a separate argument,
-or no argument at all.
+a flag ahead of the subcommand, or no argument at all.
 The tcl-ode solver runs on a handful of examples at t_max <= 10, since a
 hopeless horizon costs a second or two before the ODE's pace check stops it.
 """
@@ -117,9 +117,10 @@ def malformed_runs(draw):
     i = draw(st.integers(0, len(groups) - 1))
     at = draw(st.integers(0, len(groups)))
     kind = draw(st.sampled_from(["drop", "repeat", "unknown", "no value", "negative",
-                                 "empty"]))
+                                 "empty", "first"]))
     if kind == "empty":
         return [], None, finite
+    lead = []
     if kind == "drop":
         del groups[i]
     elif kind == "repeat":
@@ -128,11 +129,13 @@ def malformed_runs(draw):
         groups.insert(at, [draw(st.sampled_from(["--bogus", "--t_max=1", "-x", "--"]))])
     elif kind == "no value":
         groups.insert(at, [groups.pop(i)[0].split("=")[0]])
+    elif kind == "first":  # one flag group ahead of the subcommand
+        lead = groups.pop(i)
     else:
         number = draw(st.one_of(st.floats(max_value=-0.0), st.integers(max_value=-1)))
         groups.insert(at, [draw(st.sampled_from(_FLAGS)), repr(number)])
     # a changed grid changes the row count
-    return [argv[0], *(arg for group in groups for arg in group)], None, finite
+    return [*lead, argv[0], *(arg for group in groups for arg in group)], None, finite
 
 
 @st.composite
