@@ -1,24 +1,16 @@
-"""Quantitative checks on trajectories: trapping plateaus, stationary rate
-ratios, and the two reference cases behind the standard figures.
-
-The canonical configuration used throughout sets 2*Omega = 1, alpha = 0.2*Omega
-and peaks the reservoir on the lower dressed channel, omega1 = omega0 - Omega.
-Two reference widths are studied: case a, lam = 2*Omega/3 (stationary rate
-ratio 1/10) and case b, lam = 2*Omega/sqrt(99) (ratio 1/100).
-"""
+"""Quantitative checks on trajectories: trapping plateaus and stationary
+rate ratios."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemParams
-from .spectral import LorentzianSpectrum, stationary_rate
+from .spectral import stationary_rate
 
 __all__ = [
     "TrappingReport",
     "detect_plateau",
     "asymptotic_rate_ratio",
-    "reference_case",
 ]
 
 
@@ -26,9 +18,9 @@ __all__ = [
 class TrappingReport:
     """Longest slow-drift interval of a non-oscillating population series.
 
-    ``detected`` is True only when that interval lasts at least the
-    minimum duration; ``trapped_value`` is then the mean of the series
-    over the interval (a trapped population still leaks slowly, so the
+    A plateau was found when ``plateau_start`` is finite: the interval
+    lasts at least the minimum duration, and ``trapped_value`` is the mean
+    of the series over it (a trapped population still leaks slowly, so the
     window mean is the honest number).  Otherwise the start and end are
     NaN, ``trapped_value`` is 0 and ``note`` says why nothing qualified.
     """
@@ -36,7 +28,6 @@ class TrappingReport:
     plateau_start: float
     plateau_end: float
     trapped_value: float
-    detected: bool
     note: str = ""
 
 
@@ -46,7 +37,7 @@ _PLATEAU_MIN_PERIODS = 10.0  # shortest plateau that counts, in periods
 
 def _no_plateau(note):
     return TrappingReport(plateau_start=np.nan, plateau_end=np.nan,
-                          trapped_value=0.0, detected=False, note=note)
+                          trapped_value=0.0, note=note)
 
 
 def detect_plateau(t, P, osc_period):
@@ -90,8 +81,7 @@ def detect_plateau(t, P, osc_period):
                            f"below the minimum of {min_duration:.6g}")
     return TrappingReport(
         plateau_start=float(t[i0]), plateau_end=float(t[i1]),
-        trapped_value=float(np.trapezoid(P[i0:i1 + 1], t[i0:i1 + 1]) / duration),
-        detected=True)
+        trapped_value=float(np.trapezoid(P[i0:i1 + 1], t[i0:i1 + 1]) / duration))
 
 
 def asymptotic_rate_ratio(s, sys):
@@ -108,21 +98,3 @@ def asymptotic_rate_ratio(s, sys):
     # one array, so that a 0/0 is a NaN for the caller's finite check
     lower, upper = stationary_rate(s, sys.channels)
     return upper / lower
-
-
-def reference_case(case):
-    """Canonical (SystemParams, LorentzianSpectrum) for case 'a' or 'b'.
-
-    Units 2*Omega = 1, alpha = 0.2*Omega, omega1 = omega0 - Omega;
-    case a: lam = 2*Omega/3, case b: lam = 2*Omega/sqrt(99).
-    """
-    sys = SystemParams(omega0=100.0, Omega=0.5)
-    if case == "a":
-        lam = 2.0 * sys.Omega / 3.0
-    elif case == "b":
-        lam = 2.0 * sys.Omega / np.sqrt(99.0)
-    else:
-        raise ValueError(f"unknown case {case!r}, expected 'a' or 'b'")
-    s = LorentzianSpectrum(alpha=0.2 * sys.Omega, lam=lam,
-                           omega1=sys.omega0 - sys.Omega)
-    return sys, s

@@ -2,9 +2,10 @@
 
 The subcommands, each with its handler and one-line help, are the table
 ``_COMMANDS``; argparse builds the usage and ``-h`` from it.  ``figures``
-is a preset of ``rates`` or ``evolve`` on the figure's grid from
-``_FIGURES``, which ``--t-max`` and ``--n-points`` override as
-evolve.t_max and evolve.n_output; of the config it reads only ``output.*``.
+is a preset of ``rates`` or ``evolve``: the figure's grid from ``_FIGURES``,
+which ``--t-max`` and ``--n-points`` override as evolve.t_max and
+evolve.n_output, and the case's reservoir.lambda from ``_CASES``; of the
+config it reads only ``output.*``.
 Configuration is a flat text file of ``section.key = value`` lines ('#'
 starts a comment), each key at most once; ``--set section.key=value``
 overrides individual entries.  Every float must be finite.  Output is
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .analysis import asymptotic_rate_ratio, detect_plateau, reference_case
+from .analysis import asymptotic_rate_ratio, detect_plateau
 from .dynamics import (SystemParams, evolve_analytic, evolve_phenomenological,
                        evolve_tcl_ode)
 from .numerics import OdeSolveError, QuadratureError
@@ -101,7 +102,12 @@ class RunConfig:
         return LorentzianSpectrum(alpha=self.alpha, lam=self.lam, omega1=omega1)
 
     def grid(self):
-        return np.linspace(0.0, self.t_max, self.n_output)
+        ts = np.linspace(0.0, self.t_max, self.n_output)
+        # a spacing that underflows repeats or reverses the times
+        if not np.all(np.diff(ts) > 0.0):
+            raise ConfigError(f"evolve.t_max = {self.t_max!r} is too small for "
+                              f"evolve.n_output = {self.n_output} distinct times")
+        return ts
 
 
 # config-file key -> (RunConfig field, parser)
@@ -189,13 +195,9 @@ def _require_finite(values, what):
 
 
 def _trajectory_table(traj):
-    cols = ["t", "P_E0", "P_minus", "P_plus", "re_coh", "im_coh",
-            "P_0g", "P_1g", "P_0e", "P_atom_g", "P_atom_e"]
-    data = np.column_stack(
-        [traj.times, traj.P_E0, traj.P_minus, traj.P_plus,
-         traj.coh.real, traj.coh.imag,
-         traj.P_0g, traj.P_1g, traj.P_0e, traj.P_atom_g, traj.P_atom_e])
-    return cols, data
+    """The evolve table: "t", then each Trajectory field after ``states``."""
+    names = [f.name for f in fields(traj)[2:]]
+    return ["t", *names], np.column_stack([traj.times, *(getattr(traj, n) for n in names)])
 
 
 def cmd_rates(args, cfg):
@@ -227,6 +229,11 @@ def cmd_evolve(args, cfg):
     return cols, data
 
 
+# reference case -> its reservoir.lambda, 2*Omega/3 and 2*Omega/sqrt(99); every
+# other key keeps its RunConfig default, the canonical configuration 2*Omega = 1,
+# alpha = 0.2*Omega, reservoir peaked on the lower channel omega0 - Omega
+_CASES = {"a": 1.0 / 3.0, "b": 1.0 / np.sqrt(99.0)}
+
 # figure id -> (default evolve.t_max, default evolve.n_output, columns kept)
 _FIGURES = {1: (20.0, 801, ("t", "gamma_minus", "gamma_plus")),
             2: (100.0, 2001, ("t", "P_0g")),
@@ -236,9 +243,7 @@ _FIGURES = {1: (20.0, 801, ("t", "gamma_minus", "gamma_plus")),
 def cmd_figures(args, cfg):
     """``rates`` (id 1) or ``evolve`` (ids 2, 3) on reference case ``args.case``."""
     t_max, n_output, keep = _FIGURES[args.id]
-    sys_params, s = reference_case(args.case)
-    preset = RunConfig(omega0=sys_params.omega0, Omega=sys_params.Omega,
-                       alpha=s.alpha, lam=s.lam, omega1=s.omega1,
+    preset = RunConfig(lam=_CASES[args.case],
                        t_max=t_max if args.t_max is None else args.t_max,
                        n_output=n_output if args.n_points is None else args.n_points)
     cols, data = (cmd_rates if args.id == 1 else cmd_evolve)(args, preset)
@@ -297,7 +302,7 @@ def _build_parser():
                          help="override one config entry")
     figures, sweep = subparsers.choices["figures"], subparsers.choices["sweep"]
     figures.add_argument("--id", type=int, choices=_FIGURES, required=True)
-    figures.add_argument("--case", choices=("a", "b"), required=True)
+    figures.add_argument("--case", choices=_CASES, required=True)
     figures.add_argument("--t-max", type=float, default=None, dest="t_max")
     figures.add_argument("--n-points", type=int, default=None, dest="n_points")
     sweep.add_argument("--param", choices=("lambda",), required=True)

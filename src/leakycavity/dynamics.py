@@ -81,9 +81,11 @@ class SystemParams:
 class Trajectory:
     """Density matrices and derived populations on an output time grid.
 
-    One array per quantity, each aligned with ``times``: the dressed
-    populations and coherence, the bare-basis populations and the
-    reduced-atom populations (see ``populations``).  While a rate is
+    One real array per quantity, each aligned with ``times``: the dressed
+    populations, the real and imaginary parts of the dressed coherence
+    <E1,-| rho |E1,+>, the bare-basis populations and the reduced-atom
+    populations (see ``populations``).  The fields after ``states`` are
+    the columns of the CLI's ``evolve`` table, in order.  While a rate is
     negative an ODE state may lose positivity within solver tolerance (a
     known second-order feature); np.linalg.eigvalsh(states) shows it.
     """
@@ -93,7 +95,8 @@ class Trajectory:
     P_E0: np.ndarray
     P_minus: np.ndarray
     P_plus: np.ndarray
-    coh: np.ndarray  # <E1,-| rho |E1,+>, complex
+    re_coh: np.ndarray
+    im_coh: np.ndarray
     P_0g: np.ndarray
     P_1g: np.ndarray
     P_0e: np.ndarray
@@ -159,7 +162,8 @@ def populations(rho):
     half = 0.5 * (P_minus + P_plus)
     P_1g = half + coh.real
     P_0e = half - coh.real
-    return dict(P_E0=P_E0, P_minus=P_minus, P_plus=P_plus, coh=coh,
+    return dict(P_E0=P_E0, P_minus=P_minus, P_plus=P_plus,
+                re_coh=coh.real, im_coh=coh.imag,
                 P_0g=P_E0, P_1g=P_1g, P_0e=P_0e,
                 P_atom_g=P_E0 + P_1g, P_atom_e=P_0e)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from leakycavity.analysis import detect_plateau, reference_case
+from leakycavity.analysis import detect_plateau
 from leakycavity.dynamics import (SystemParams, evolve_analytic,
                                   evolve_phenomenological, evolve_tcl_ode,
                                   populations, rho_analytic)
@@ -22,6 +22,7 @@ from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
                                   stationary_rate)
 from leakycavity import cli
 from powerlaw import short_time_exponent
+from reference import reference_case
 
 RABI_PERIOD = np.pi / 0.5  # canonical units, 2*Omega = 1
 
@@ -109,7 +110,7 @@ def test_criterion_07_trapped_population_windows():
             # P_atom_e without its Rabi term, the dressed coherence
             report = detect_plateau(ts, 0.5 * (traj.P_minus + traj.P_plus),
                                     osc_period=RABI_PERIOD)
-            assert report.detected
+            assert np.isfinite(report.plateau_start)
             assert lo <= report.trapped_value <= hi
             assert report.plateau_end - report.plateau_start > 10.0 * RABI_PERIOD
 
@@ -151,7 +152,7 @@ def test_criterion_10_single_rate_model_cannot_trap():
         P_plus = traj.P_plus
         assert np.max(np.abs(P_plus / P_minus - 1.0)) <= 1e-10
         report = detect_plateau(ts, 0.5 * (P_minus + P_plus), osc_period=RABI_PERIOD)
-        assert not report.detected
+        assert np.isnan(report.plateau_start)
 
 
 def test_criterion_11_omega0_invariance():

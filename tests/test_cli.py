@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from leakycavity import cli
-from leakycavity.analysis import detect_plateau, reference_case
+from leakycavity.analysis import detect_plateau
 from leakycavity.cli import ConfigError, RunConfig, load_config
 from leakycavity.dynamics import evolve_analytic
 from leakycavity.numerics import OdeSolveError
+from reference import reference_case
 
 
 def run_cli(argv, capsys):
@@ -424,6 +425,13 @@ def test_figures_are_rates_or_evolve_on_the_reference_case(capsys, fig, case):
     assert figure.endswith("\n") and figure.splitlines() == _columns(full, names)
 
 
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_figure_cases_are_the_paper_cases(case):
+    # each case is its reservoir.lambda over RunConfig's defaults
+    cfg = RunConfig(lam=cli._CASES[case])
+    assert (cfg.system(), cfg.spectrum()) == reference_case(case)
+
+
 def _write_csv_per_value(columns, values, precision):
     """Reference writer: every value formatted on its own."""
     fmt = f"%.{precision}g"
@@ -682,6 +690,29 @@ def test_out_of_range_value_is_one_config_error_line(capsys, settings, message):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err == f"error: config: {message}\n"
+
+
+# a step t_max/(n_output - 1) that underflows makes linspace's times
+# reverse (7e-323 over 10 points) or repeat (5e-324 over 7)
+@pytest.mark.parametrize("t_max, n_output", [("7e-323", 10), ("5e-324", 7)])
+@pytest.mark.parametrize("argv", [
+    ["rates", "--config", os.devnull],
+    ["evolve", "--config", os.devnull],
+    ["sweep", "--config", os.devnull, "--param", "lambda", "--from", "0.3", "--to", "0.3",
+     "--steps", "1"],
+    ["figures", "--id", "1", "--case", "a"],
+    ["figures", "--id", "2", "--case", "b"],
+    ["figures", "--id", "3", "--case", "a"],
+], ids=["rates", "evolve", "sweep", "figures-1", "figures-2", "figures-3"])
+def test_underflowing_grid_is_one_config_error_line(capsys, argv, t_max, n_output):
+    if argv[0] == "figures":
+        argv = argv + ["--t-max", t_max, "--n-points", str(n_output)]
+    else:
+        argv = argv + ["--set", f"evolve.t_max={t_max}", "--set", f"evolve.n_output={n_output}"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: config: evolve.t_max = {float(t_max)!r} is too small for "
+                   f"evolve.n_output = {n_output} distinct times\n")
 
 
 @pytest.mark.parametrize("target", [

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from leakycavity import dynamics
-from leakycavity.analysis import reference_case
 from leakycavity.dynamics import (SystemParams, _pack, _unpack,
                                   evolve_analytic, evolve_phenomenological,
                                   evolve_tcl_ode, hamiltonian,
@@ -11,6 +10,7 @@ from leakycavity.dynamics import (SystemParams, _pack, _unpack,
 from leakycavity.numerics import ode_solve
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
                                   rate_closed_form, rate_quadrature_oracle)
+from reference import reference_case
 
 
 def test_system_params_validation_and_warning():
@@ -106,8 +106,8 @@ def _populations_per_sample(rho):
     coh = complex(rho[1, 2])
     half = 0.5 * (P_minus + P_plus)
     P_1g, P_0e = half + coh.real, half - coh.real
-    return dict(P_E0=P_E0, P_minus=P_minus, P_plus=P_plus, coh=coh,
-                P_0g=P_E0, P_1g=P_1g, P_0e=P_0e,
+    return dict(P_E0=P_E0, P_minus=P_minus, P_plus=P_plus,
+                re_coh=coh.real, im_coh=coh.imag, P_0g=P_E0, P_1g=P_1g, P_0e=P_0e,
                 P_atom_g=P_E0 + P_1g, P_atom_e=P_0e)
 
 
@@ -134,7 +134,7 @@ def test_population_identities_along_analytic_trajectory():
     P_E0 = traj.P_E0
     P_m = traj.P_minus
     P_p = traj.P_plus
-    coh = traj.coh
+    coh = traj.re_coh + 1j * traj.im_coh
     assert np.max(np.abs(P_E0 + P_m + P_p - 1.0)) < 1e-12
     np.testing.assert_array_equal(traj.P_0g, P_E0)
     np.testing.assert_allclose(traj.P_1g + traj.P_0e,
