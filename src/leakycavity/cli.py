@@ -29,6 +29,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -159,21 +160,26 @@ def load_config(config_path, set_pairs):
     return RunConfig(**updates)
 
 
+_BLOCK_ROWS = 1024  # rows per write: a run holds one block of text, not the table
+
+
 def write_csv(columns, values, path, precision):
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    row_fmt = ",".join([f"%.{precision}g"] * values.shape[1])
-    lines = [",".join(columns)] + [row_fmt % tuple(row) for row in values.tolist()]
-    text = "\n".join(lines) + "\n"
+    row_fmt = ",".join([f"%.{precision}g"] * values.shape[1]) + "\n"
+    rows = np.split(values, range(_BLOCK_ROWS, len(values), _BLOCK_ROWS))
+    blocks = chain([",".join(columns) + "\n"],
+                   (row_fmt * len(block) % tuple(block.ravel().tolist()) for block in rows))
     if path == "-":
         try:
-            if hasattr(sys.stdout, "buffer"):
-                data = memoryview(text.encode())
-                # an unbuffered stdout takes a short write when the pipe's
-                # reader has gone; the next write raises
-                while data:
-                    data = data[sys.stdout.buffer.write(data):]
-            else:  # a text-only stream, such as io.StringIO
-                sys.stdout.write(text)
+            for text in blocks:
+                if hasattr(sys.stdout, "buffer"):
+                    data = memoryview(text.encode())
+                    # an unbuffered stdout takes a short write when the pipe's
+                    # reader has gone; the next write raises
+                    while data:
+                        data = data[sys.stdout.buffer.write(data):]
+                else:  # a text-only stream, such as io.StringIO
+                    sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
             # what is still buffered would fail again, with a traceback, in the
@@ -183,7 +189,7 @@ def write_csv(columns, values, path, precision):
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
         except OSError as exc:
             raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
 

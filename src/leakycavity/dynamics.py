@@ -201,7 +201,9 @@ def _pack(rho):
 def _unpack(y):
     rho = np.zeros(np.shape(y)[:-1] + (3, 3), dtype=complex)
     rho.view(float)[..., _PACKED[0], _PACKED[1]] = y
-    return rho + np.conj(np.swapaxes(np.triu(rho, 1), -1, -2))
+    for i, j in ((0, 1), (0, 2), (1, 2)):  # the lower triangle, in place
+        rho[..., j, i] += np.conj(rho[..., i, j])
+    return rho
 
 
 def _generator(sys):
