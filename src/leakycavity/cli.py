@@ -359,7 +359,8 @@ def main(argv=None):
 
 def console_main():
     code = main()
-    # interpreter teardown would otherwise run full GC passes over scipy's heap
+    # interpreter teardown would otherwise run full GC passes over the heap
+    # that scipy's import leaves, which the quadrature oracle loads
     gc.freeze()
     sys.exit(code)
 

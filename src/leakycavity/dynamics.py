@@ -51,8 +51,11 @@ class SystemParams:
 
     The documented canonical configuration sets 2*Omega = 1 so times are
     in units of 1/(2 Omega).  omega0 enters the dynamics only through
-    ``channels``, where the reservoir is probed; it never moves a
-    population (checked by test).  The dressed-channel
+    ``channels``, where the reservoir is probed.  It moves no population
+    only where omega0 -/+ Omega and their detunings from omega1 round
+    exactly, as at the omega0 the tests sample; at large omega0 they
+    round at ulp(omega0), and at 1e16 with Omega = 1/3 the channels
+    merge and the trapping is lost (a known defect).  The dressed-channel
     dissipator assumes Omega << omega0, so Omega/omega0 > 0.1 draws a
     warning rather than an error.
     """
@@ -224,11 +227,12 @@ def evolve_tcl_ode(sys, s, t_grid, rate=rate_closed_form):
     """The master equation with the rates of spectrum s, propagated as an ODE.
 
     The state is a real 9-vector and the generator G0 + gamma_- G- +
-    gamma_+ G+ is linear in it; ``ode_solve`` integrates it by DOP853
-    (relative 1e-10, absolute 1e-12).  ``rate(s, omega, t)`` gives gamma
-    elementwise over an array of channel frequencies, called once per
-    right-hand-side evaluation for both channels: rate_closed_form (fast)
-    or spectral.rate_quadrature_oracle (evaluated fresh at every solver
+    gamma_+ G+ is linear in it; ``ode_solve`` integrates it by its numpy
+    DOP853 (relative 1e-10, absolute 1e-12), so this route loads no scipy
+    unless ``rate`` does.  ``rate(s, omega, t)`` gives gamma elementwise
+    over an array of channel frequencies, called once per right-hand-side
+    evaluation for both channels: rate_closed_form (fast) or
+    spectral.rate_quadrature_oracle (evaluated fresh at every solver
     stage, so keep the horizon short).
     """
     ts = _as_time_grid(t_grid)

@@ -863,16 +863,24 @@ def test_extreme_width_gives_finite_exact_tables(capsys, lam):
 
 
 def test_quadpack_warning_is_one_numerical_error_line(capsys):
-    # QAWF reports bad integrand behaviour for the oracle at t ~ 1e-6 and
-    # wraps its message over three lines
-    code, out, err = run_cli(["rates", "--config", os.devnull,
-                              "--set", "rates.mode=quadrature",
-                              "--set", "reservoir.lambda=0.10050378152592121",
-                              "--set", "evolve.t_max=1e-5",
-                              "--set", "evolve.n_output=11"], capsys)
-    assert code == 3 and out == ""
-    assert err.startswith("error: numerical: Bad integrand behavior")
-    assert err.count("\n") == 1
+    # QAWF reports bad integrand behaviour for the oracle at t ~ 1e-6 (case b),
+    # and runs out of cycles at t = 5e-310 (case a); it wraps each message over
+    # three lines and ends it with advice on its full_output that no CLI user
+    # can take
+    for overrides, message in (
+            (["reservoir.lambda=0.10050378152592121", "evolve.t_max=1e-5",
+              "evolve.n_output=11"],
+             "Bad integrand behavior occurs within one or more of the cycles "
+             "(Fourier tail at frequency 1e-06)"),
+            (["evolve.t_max=1e-309", "evolve.n_output=3"],
+             "The maximum number of cycles allowed has been achieved "
+             "(Fourier tail at frequency 5e-310)")):
+        argv = ["rates", "--config", os.devnull, "--set", "rates.mode=quadrature"]
+        for item in overrides:
+            argv += ["--set", item]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert err == f"error: numerical: {message}\n"
 
 
 def test_rates_oracle_with_overflowing_detuning_is_the_finite_check_line(capsys):
@@ -919,6 +927,10 @@ assert "scipy" not in sys.modules, "the analytic commands loaded scipy"
 assert main(["evolve", "--config", cfg, "--set", "solver.mode=tcl-ode",
              "--set", "evolve.t_max=5", "--set", "evolve.n_output=51",
              "--set", f"output.path={out}/ode.csv"]) == 0
+assert "scipy" not in sys.modules, "the closed-form tcl-ode run loaded scipy"
+assert main(["rates", "--config", cfg, "--set", "rates.mode=quadrature",
+             "--set", "evolve.t_max=2", "--set", "evolve.n_output=3",
+             "--set", f"output.path={out}/oracle.csv"]) == 0
 assert "scipy" in sys.modules
 """
 
@@ -938,7 +950,7 @@ def test_analytic_commands_never_import_scipy(tmp_path):
         env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    for name in ("fig.csv", "sweep.csv", "single.csv", "ode.csv"):
+    for name in ("fig.csv", "sweep.csv", "single.csv", "ode.csv", "oracle.csv"):
         assert (tmp_path / name).stat().st_size > 0
 
 

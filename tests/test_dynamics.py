@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 
-from leakycavity import dynamics
+from leakycavity import dynamics, spectral
 from leakycavity.dynamics import (SystemParams, _pack, _unpack,
                                   evolve_analytic, evolve_phenomenological,
                                   evolve_tcl_ode, hamiltonian,
@@ -256,6 +257,51 @@ def test_tcl_ode_keeps_the_rabi_splitting_at_large_omega0():
     gens = [np.array(dynamics._generator(SystemParams(omega0=omega0, Omega=1.0 / 3.0)))
             for omega0 in (50.0, 1e20)]
     assert gens[0].tobytes() == gens[1].tobytes()
+
+
+@pytest.mark.xfail(strict=True, reason="omega0 -/+ Omega rounds at ulp(omega0): "
+                   "the channels merge and the trapping is lost (ROADMAP item 7)")
+@pytest.mark.parametrize("omega0", [1e8, 1e16])
+def test_large_omega0_moves_no_population(omega0):
+    # at omega0 = 100 every channel difference is exact; with the channels
+    # rounded at ulp(omega0), max |dP+| on [0, 300] reads 4.4e-9 at 1e8 and
+    # 0.26 at 1e16
+    ts = np.linspace(0.0, 300.0, 3001)
+    pops, rates = [], []
+    for w0 in (100.0, omega0):
+        sys = SystemParams(omega0=w0, Omega=1.0 / 3.0)
+        s = LorentzianSpectrum(alpha=0.2 * sys.Omega, lam=1.0 / 3.0, omega1=sys.channels[0])
+        traj = evolve_analytic(sys, s, ts)
+        pops.append(np.column_stack([traj.P_E0, traj.P_minus, traj.P_plus, traj.P_atom_e]))
+        rates.append(rate_closed_form(s, sys.channels[:, None], ts))
+    assert np.max(np.abs(pops[1] - pops[0])) <= 1e-12
+    assert np.max(np.abs(rates[1] - rates[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_figure_2_from_interpolated_oracle_rates_matches_the_exact_solution(case, monkeypatch):
+    # figures 2a and 2b by the route that never touches a closed form: per
+    # channel, the oracle's rate as a degree-80 Chebyshev interpolant on
+    # [0, 100] (gamma is entire in t, so the fit converges geometrically;
+    # Trefethen, Approximation Theory and Approximation Practice, 2013),
+    # handed to the ODE.  Its smallest node, t ~ 0.009, is far above the
+    # oracle's small-t failures.
+    sys, s = reference_case(case)
+    ts = np.linspace(0.0, 100.0, 2001)
+    exact = evolve_analytic(sys, s, ts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle route called a closed form")
+
+    for module, names in ((spectral, ("rate_closed_form", "accumulated_rate")),
+                          (dynamics, ("rate_closed_form", "accumulated_rate", "rho_analytic"))):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+    fits = [Chebyshev.interpolate(lambda t, w=w: rate_quadrature_oracle(s, w, t), 80,
+                                  domain=[0.0, 100.0])
+            for w in sys.channels.tolist()]
+    ode = evolve_tcl_ode(sys, s, ts, rate=lambda s, omega, t: (fits[0](t), fits[1](t)))
+    assert np.max(np.abs(ode.states - exact.states)) <= 1e-8
 
 
 def _per_call_rhs(sys, rates):

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leakycavity import numerics
+from leakycavity import dynamics, numerics
 from leakycavity.numerics import (OdeSolveError, QuadratureError,
                                   adaptive_quadrature, ode_solve,
                                   panel_gauss_blocks)
+from reference import reference_case
 
 
 TOL = dict(rel_tol=1e-10, abs_tol=1e-12, limit=10_000)
@@ -110,27 +111,25 @@ def test_ode_dense_output_fills_grid():
 
     out = ode_solve(deriv, np.array([1.0, 2.0]), np.array([0.5]))
     assert out.shape == (1, 2) and np.array_equal(out[0], [1.0, 2.0])
+    # and an empty state has nothing to step
+    assert ode_solve(deriv, np.array([]), np.array([0.0, 1.0])).shape == (2, 0)
 
 
 def test_ode_fills_each_grid_point_once_from_the_step_that_covers_it(monkeypatch):
-    import scipy.integrate
     ends, filled = [], []
+    steps = numerics._dop853_steps
 
-    class Recording(scipy.integrate.DOP853):
-        def step(self):
-            super().step()
-            ends.append(self.t)
+    def recording(*args):
+        for t_old, t_new, interpolant in steps(*args):
+            ends.append(t_new)
 
-        def dense_output(self):
-            dense, t_old, t_new = super().dense_output(), self.t_old, self.t
-
-            def recorded(t):
+            def recorded(t, t_old=t_old, t_new=t_new, interpolant=interpolant):
                 assert np.all((t_old <= t) & (t <= t_new))
                 filled.append(t)
-                return dense(t)
-            return recorded
+                return interpolant(t)
+            yield t_old, t_new, recorded
 
-    monkeypatch.setattr(scipy.integrate, "DOP853", Recording)
+    monkeypatch.setattr(numerics, "_dop853_steps", recording)
 
     def deriv(t, y):
         return np.cos(t) * np.ones_like(y)
@@ -146,6 +145,86 @@ def test_ode_fills_each_grid_point_once_from_the_step_that_covers_it(monkeypatch
     assert np.array_equal(np.concatenate(filled), ts[1:])
     assert len(filled) <= len(ends) and any(t[-1] == t_end for t in filled)
     assert np.max(np.abs(out[:, 0] - np.sin(ts))) < 1e-9
+
+
+def test_dop853_tableau_is_scipys():
+    from scipy.integrate import DOP853
+
+    ours = {"A": numerics._A[:12, :12], "B": numerics._B, "C": numerics._C[:12],
+            "E3": numerics._E3, "E5": numerics._E5, "D": numerics._D,
+            "A_EXTRA": numerics._A[13:], "C_EXTRA": numerics._C[13:]}
+    for name, value in ours.items():
+        theirs = getattr(DOP853, name)
+        assert value.shape == theirs.shape and np.array_equal(value, theirs), name
+    # the stages are explicit: nothing on or above A's diagonal
+    assert not np.triu(numerics._A).any()
+
+
+def _scipy_dop853(deriv, y0, ts):
+    """ts filled by scipy's DOP853 at ode_solve's tolerances: (states, nfev, t at failure)."""
+    from scipy.integrate import DOP853
+
+    solver = DOP853(deriv, ts[0], y0, t_bound=ts[-1], rtol=numerics._ODE_RTOL,
+                    atol=numerics._ODE_ATOL)
+    out = np.empty((ts.size, y0.size), dtype=solver.y.dtype)
+    out[0] = y0
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            return None, solver.nfev, solver.t
+        start, end = np.searchsorted(ts, (solver.t_old, solver.t), side="right")
+        if end > start:
+            out[start:end] = solver.dense_output()(ts[start:end]).T
+    return out, solver.nfev, None
+
+
+def _ported_dop853(deriv, y0, ts):
+    """The same from ode_solve, its RHS calls counted."""
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return deriv(t, y)
+    try:
+        return ode_solve(counted, y0, ts), len(calls), None
+    except OdeSolveError as exc:
+        return None, len(calls), exc.last_t
+
+
+def _case_b_problem():
+    # the right-hand side evolve_tcl_ode builds for case b: its 9x9 generator
+    problem = {}
+
+    def capture(deriv, state0, t_grid):
+        problem.update(deriv=deriv, y0=state0)
+        return np.zeros((len(t_grid), 9))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "ode_solve", capture)
+        dynamics.evolve_tcl_ode(*reference_case("b"), [0.0, 1.0])
+    return problem["deriv"], problem["y0"], np.linspace(0.0, 100.0, 2001)
+
+
+def _blow_up(t, y):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return y * y
+
+
+@pytest.mark.parametrize("problem", [
+    _case_b_problem,
+    lambda: (lambda t, y: 3j * y, np.array([1.0 + 0.0j]), np.linspace(0.0, 20.0, 41)),
+    lambda: (_blow_up, np.array([1.0]), np.array([0.0, 2.0])),
+], ids=["case-b-generator", "complex-rotation", "blow-up"])
+def test_ode_solve_steps_as_scipys_dop853(problem):
+    deriv, y0, ts = problem()
+    want, want_nfev, want_fail = _scipy_dop853(deriv, y0, ts)
+    got, got_nfev, got_fail = _ported_dop853(deriv, y0, ts)
+    assert got_nfev == want_nfev
+    if want_fail is None:
+        assert got_fail is None and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-12
+    else:
+        # y' = y^2 from y(0) = 1 blows up at t = 1: both stop there on step underflow
+        assert got is None and abs(got_fail - want_fail) <= 1e-12
 
 
 def test_ode_step_failure_reports_last_time():
