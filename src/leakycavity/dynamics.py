@@ -229,21 +229,21 @@ def evolve_tcl_ode(sys, s, t_grid, rate=rate_closed_form):
     The state is a real 9-vector and the generator G0 + gamma_- G- +
     gamma_+ G+ is linear in it; ``ode_solve`` integrates it by its numpy
     DOP853 (relative 1e-10, absolute 1e-12), so this route loads no scipy
-    unless ``rate`` does.  ``rate(s, omega, t)`` gives gamma elementwise
-    over an array of channel frequencies, called once per right-hand-side
-    evaluation for both channels: rate_closed_form (fast) or
-    spectral.rate_quadrature_oracle (evaluated fresh at every solver
-    stage, so keep the horizon short).
+    unless ``rate`` does.  ``rate(s, omega, t)``, rate_closed_form (fast) or
+    spectral.rate_quadrature_oracle (slow: keep the horizon short), gives
+    gamma on the channel axis omega = channels[:, None] at a step's stage
+    times t in one call; a pair of scalars broadcasts over the times.
     """
     ts = _as_time_grid(t_grid)
     G0, G_m, G_p = _generator(sys)
-    channels = sys.channels
+    channels = sys.channels[:, None]
 
-    def rhs(t, y):
-        g_m, g_p = rate(s, channels, t)
-        return (G0 + g_m * G_m + g_p * G_p) @ y
+    def generator(times):
+        g_m, g_p = (np.broadcast_to(g, times.shape)[:, None, None]
+                    for g in rate(s, channels, times))
+        return G0 + g_m * G_m + g_p * G_p
 
-    return _trajectory(ts, _unpack(ode_solve(rhs, _pack(initial_state_atom_excited()), ts)))
+    return _trajectory(ts, _unpack(ode_solve(generator, _pack(initial_state_atom_excited()), ts)))
 
 
 def evolve_phenomenological(sys, kappa, t_grid):

@@ -3,9 +3,9 @@
 A Fourier-sine tail integral over many frequencies at once (Gauss
 panels and an accelerated sum over half-periods), a composite
 Gauss-Legendre rule on [0, b] handed out in bounded blocks for smooth
-oscillatory windows, and an adaptive DOP853 propagator with dense
-output, ported to numpy from Hairer, Norsett & Wanner's method with the
-step controller of scipy.integrate.DOP853.
+oscillatory windows, and an adaptive DOP853 propagator for y' = A(t) y
+with dense output, ported to numpy from Hairer, Norsett & Wanner's
+method with the step controller of scipy.integrate.DOP853.
 All functions are pure; there is no shared mutable state.  The
 propagator's tableau, tolerances and call budget are constants of this
 module, as are the tail's rules; the quadratures' tolerances are
@@ -271,13 +271,13 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t, y, f, t_bound):
+def _initial_step(stages, t, y, f, t_bound):
     """Hairer, Norsett & Wanner's first-step guess (sec. II.4) for an order-7 error."""
     span = abs(t_bound - t)
     scale = _ODE_ATOL + np.abs(y) * _ODE_RTOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((stages(np.array([t + h0]))[0] @ (y + h0 * f) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -285,24 +285,24 @@ def _initial_step(fun, t, y, f, t_bound):
     return min(100 * h0, h1, span)
 
 
-def _dop853_steps(fun, t, y, t_bound):
-    """Yield (t_old, t, interpolant) for each accepted DOP853 step until t_bound.
+def _dop853_steps(stages, t, y, t_bound):
+    """Yield (t_old, t, interpolant) for each accepted DOP853 step of y' = A(t) y.
 
-    The step controller and the dense output are those of
-    ``scipy.integrate.DOP853``: the error norm of the E5/E3 pair, safety
-    factor 0.9, step factors within [0.2, 10], and a step clamped to
-    t_bound.  ``interpolant(ts)`` returns the states at the times ts in
-    [t_old, t] as rows; each call evaluates the 3 extra stages, and it
+    ``stages(ts)`` stacks A at the times ts: an attempt asks for its 12
+    stage times at once, the last giving f at the new state.  Step control
+    and dense output are ``scipy.integrate.DOP853``'s: the E5/E3 error
+    norm, safety factor 0.9, step factors within [0.2, 10], a step clamped
+    to t_bound.  ``interpolant(ts)`` returns the states at the times ts in
+    [t_old, t] as rows from 3 extra stage times asked for at once, and
     holds only until the next step is drawn.  Raises OdeSolveError on a
-    non-finite derivative at the start and once the step falls below ten
-    ulps of t.
+    non-finite derivative at the start and once the step is under 10 ulps of t.
     """
-    f = fun(t, y)
+    f = stages(np.array([t]))[0] @ y
     # a NaN derivative makes a NaN first step, which no underflow test catches:
     # it would be rejected forever
     if not np.all(np.isfinite(f)):
         raise OdeSolveError(f"non-finite derivative at t={t:g}", last_t=t)
-    h_abs = _initial_step(fun, t, y, f, t_bound)
+    h_abs = _initial_step(stages, t, y, f, t_bound)
     K = np.empty((16, y.size), dtype=y.dtype)
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -314,10 +314,10 @@ def _dop853_steps(fun, t, y, t_bound):
             h = t_new - t
             h_abs = np.abs(h)
             K[0] = f
-            for s in range(1, 12):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            for s, A_s in enumerate(stages(t + _C[1:13] * h), 1):
+                K[s] = A_s @ (y + np.dot(K[:s].T, _A[s, :s]) * h)
             y_new = y + h * np.dot(K[:12].T, _B)
-            K[12] = f_new = fun(t + h, y_new)
+            f_new = K[12].copy()
             scale = _ODE_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _ODE_RTOL
             e5 = np.linalg.norm(np.dot(K[:13].T, _E5) / scale) ** 2
             e3 = np.linalg.norm(np.dot(K[:13].T, _E3) / scale) ** 2
@@ -335,8 +335,8 @@ def _dop853_steps(fun, t, y, t_bound):
         t, y, f = t_new, y_new, f_new
 
         def interpolant(ts):
-            for s in range(13, 16):
-                K[s] = fun(t_old + _C[s] * h, y_old + np.dot(K[:s].T, _A[s, :s]) * h)
+            for s, A_s in enumerate(stages(t_old + _C[13:16] * h), 13):
+                K[s] = A_s @ (y_old + np.dot(K[:s].T, _A[s, :s]) * h)
             dy = y - y_old
             F = [dy, h * f_old - dy, 2 * dy - h * (f + f_old), *(h * np.dot(_D, K))]
             x = ((ts - t_old) / h)[:, None]
@@ -349,19 +349,19 @@ def _dop853_steps(fun, t, y, t_bound):
         yield t_old, t, interpolant
 
 
-def ode_solve(deriv, state0, t_grid):
-    """Propagate state0 along t_grid with the adaptive DOP853 method.
+def ode_solve(generator, state0, t_grid):
+    """Propagate state0 along t_grid under y' = A(t) y with the adaptive DOP853 method.
 
-    ``deriv(t, y) -> dy/dt`` may be real or complex valued; local error
-    is controlled by _ODE_RTOL / _ODE_ATOL (relative 1e-10, absolute
-    1e-12) and interior steps are independent of the output grid
-    (requested times are filled from dense output).  The integrator is
-    _dop853_steps, Dormand and Prince's eighth-order pair with its
-    seventh-degree interpolant, in numpy alone.  Returns an array of
-    shape (len(t_grid), len(state0)).  Raises OdeSolveError, carrying the
-    last good time, on a non-finite derivative at t_grid[0], on step
-    failure, after _ODE_MAX_NFEV right-hand-side calls, or once 1% of that
-    budget has covered under 1% of the grid's span, a pace that would exhaust it.
+    ``generator(ts)`` returns A, real or complex, at every time of the 1-D
+    array ts as a (len(ts), n, n) stack, asked for a step's stage times at
+    once.  Local error is controlled by _ODE_RTOL / _ODE_ATOL (relative
+    1e-10, absolute 1e-12); interior steps do not depend on the output grid,
+    filled from dense output.  The integrator is _dop853_steps, Dormand and
+    Prince's eighth-order pair with its seventh-degree interpolant.  Returns
+    an array of shape (len(t_grid), len(state0)).  Raises OdeSolveError,
+    carrying the last good time, on a non-finite derivative at t_grid[0], on
+    step failure, after _ODE_MAX_NFEV right-hand-side evaluations (stage times),
+    or once 1% of that budget has covered under 1% of the span, a pace that would exhaust it.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
@@ -375,13 +375,13 @@ def ode_solve(deriv, state0, t_grid):
         return out
     nfev = 0
 
-    def fun(t, y):
+    def stages(times):
         nonlocal nfev
-        nfev += 1
-        return np.asarray(deriv(t, y), dtype=y0.dtype)
+        nfev += times.size
+        return np.asarray(generator(times), dtype=y0.dtype)
 
     # the last step is clamped to ts[-1], so it fills the grid and ends the loop
-    for t_old, t, interpolant in _dop853_steps(fun, ts[0], y0, ts[-1]):
+    for t_old, t, interpolant in _dop853_steps(stages, ts[0], y0, ts[-1]):
         # the grid points in (t_old, t], from one call of this step's interpolant
         start, end = np.searchsorted(ts, (t_old, t), side="right")
         if end > start:

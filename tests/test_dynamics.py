@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Chebyshev
 
 from leakycavity import dynamics, spectral
@@ -198,6 +199,7 @@ def test_ode_quadrature_rate_mode():
 
 
 def test_tcl_ode_makes_one_rate_call_per_rhs_evaluation(monkeypatch):
+    # one rate call per generator call, which covers a step's stage times at once
     sys, s = reference_case("b")
     calls = {"rate": 0, "rhs": 0}
 
@@ -205,10 +207,10 @@ def test_tcl_ode_makes_one_rate_call_per_rhs_evaluation(monkeypatch):
         calls["rate"] += 1
         return rate_closed_form(s, omega, t)
 
-    def counting_ode_solve(deriv, state0, t_grid):
-        def counted(t, y):
+    def counting_ode_solve(generator, state0, t_grid):
+        def counted(times):
             calls["rhs"] += 1
-            return deriv(t, y)
+            return generator(times)
         return ode_solve(counted, state0, t_grid)
 
     monkeypatch.setattr(dynamics, "ode_solve", counting_ode_solve)
@@ -220,21 +222,65 @@ def test_tcl_ode_makes_one_rate_call_per_rhs_evaluation(monkeypatch):
 
 def test_tcl_ode_case_b_to_t100_makes_under_6000_rhs_calls(monkeypatch):
     # case b to t = 100 on 2001 points: DOP853 makes about 4200 right-hand-side
-    # calls where the fifth-order RK45 made 15518
+    # evaluations (stage times) where the fifth-order RK45 made 15518, and
+    # asks for them in about 560 generator calls, a step's stages at once
     sys, s = reference_case("b")
-    calls = {"rhs": 0}
+    calls = {"rhs": 0, "generator": 0}
 
-    def counting_ode_solve(deriv, state0, t_grid):
-        def counted(t, y):
-            calls["rhs"] += 1
-            return deriv(t, y)
+    def counting_ode_solve(generator, state0, t_grid):
+        def counted(times):
+            calls["rhs"] += times.size
+            calls["generator"] += 1
+            return generator(times)
         return ode_solve(counted, state0, t_grid)
 
     monkeypatch.setattr(dynamics, "ode_solve", counting_ode_solve)
     ts = np.linspace(0.0, 100.0, 2001)
     got = evolve_tcl_ode(sys, s, ts)
     assert 0 < calls["rhs"] < 6000
+    assert 0 < calls["generator"] < calls["rhs"] / 3
     assert np.max(np.abs(got.states - evolve_analytic(sys, s, ts).states)) < 1e-8
+
+
+@st.composite
+def _stage_batches(draw):
+    """A system, a spectrum and a batch of times with |z t| on both sides of
+    _phi's series switch at 0.1 for the lower channel."""
+    sys = SystemParams(omega0=100.0, Omega=draw(st.floats(0.05, 1.0)))
+    s = LorentzianSpectrum(alpha=draw(st.floats(1e-3, 1.0)), lam=draw(st.floats(1e-3, 10.0)),
+                           omega1=sys.channels[0] + draw(st.floats(-5.0, 5.0)))
+    switch = 0.1 / abs(s.lam - 1j * (s.omega1 - sys.channels[0]))
+    scales = [draw(st.floats(0.0, 0.999)), draw(st.floats(1.001, 50.0)),
+              *draw(st.lists(st.floats(0.0, 50.0), max_size=10))]
+    return sys, s, switch * np.array(draw(st.permutations(scales)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(batch=_stage_batches())
+def test_batched_rates_and_generator_are_bitwise_the_per_time_ones(batch):
+    # ode_solve asks for a step's stage times at once; the states match the
+    # per-stage right-hand side bit for bit only if no value depends on its batch
+    sys, s, ts = batch
+    w = np.abs(s.lam - 1j * (s.omega1 - sys.channels[:, None])) * ts
+    assert (w < 0.1).any() and (w >= 0.1).any()
+    rates = rate_closed_form(s, sys.channels[:, None], ts)
+    np.testing.assert_array_equal(
+        rates, np.column_stack([rate_closed_form(s, sys.channels, t) for t in ts]))
+    captured = {}
+
+    def capture(generator, state0, t_grid):
+        captured["generator"] = generator
+        return np.zeros((len(t_grid), 9))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "ode_solve", capture)
+        evolve_tcl_ode(sys, s, [0.0, 1.0])
+    generator = captured["generator"]
+    G0, G_m, G_p = dynamics._generator(sys)
+    per_time = [(G0 + g_m * G_m + g_p * G_p)
+                for g_m, g_p in (rate_closed_form(s, sys.channels, t) for t in ts)]
+    np.testing.assert_array_equal(generator(ts), np.stack(per_time))
+    np.testing.assert_array_equal(
+        generator(ts), np.concatenate([generator(ts[i:i + 1]) for i in range(ts.size)]))
 
 
 def test_ode_rates_forced_to_zero_gives_rabi_oscillation():
@@ -304,8 +350,9 @@ def test_figure_2_from_interpolated_oracle_rates_matches_the_exact_solution(case
     assert np.max(np.abs(ode.states - exact.states)) <= 1e-8
 
 
-def _per_call_rhs(sys, rates):
-    """Reference RHS: the master equation re-derived on 3x3 states at every call."""
+def _per_call_generator(sys, rates):
+    """Reference generator: the master equation re-derived on 3x3 states at
+    every time, its columns the right-hand side at each packed basis state."""
     H = hamiltonian(sys)
     L_m = np.zeros((3, 3), dtype=complex)
     L_m[0, 1] = 1.0
@@ -320,7 +367,10 @@ def _per_call_rhs(sys, rates):
             drho += 0.5 * g * (L @ rho @ L.conj().T)
             drho -= 0.25 * g * (proj @ rho + rho @ proj)
         return _pack(drho)
-    return rhs
+
+    def generator(ts):
+        return np.stack([np.column_stack([rhs(t, e) for e in np.eye(9)]) for t in ts])
+    return generator
 
 
 SYS_B, S_B = reference_case("b")
@@ -335,7 +385,7 @@ def test_generator_matches_per_call_reference(rates):
     ts = np.linspace(0.0, 12.0, 241)
     # case b on [0, 12] takes the upper-channel rate negative
     assert rate_closed_form(S_B, SYS_B.channels[1], ts).min() < 0.0
-    ref = _unpack(ode_solve(_per_call_rhs(SYS_B, rates),
+    ref = _unpack(ode_solve(_per_call_generator(SYS_B, rates),
                             _pack(initial_state_atom_excited()), ts))
     got = evolve_tcl_ode(SYS_B, S_B, ts, rate=lambda s, omega, t: rates(t))
     assert np.max(np.abs(got.states - ref)) < 1e-10

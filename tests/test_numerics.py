@@ -85,15 +85,32 @@ def test_panel_gauss_rejects_bad_interval():
         panel_gauss_blocks(1.0, 0)
 
 
+def _constant(A):
+    """The generator of y' = A y: A at every time asked for."""
+    A = np.asarray(A)
+    return lambda ts: np.broadcast_to(A, (ts.size, *A.shape))
+
+
+def _driven(drive, calls=None):
+    """y' = drive(t) as the linear system [y, 1]' = [[0, drive(t)], [0, 0]] [y, 1]."""
+    def generator(ts):
+        if calls is not None:
+            calls.extend(ts)
+        A = np.zeros((ts.size, 2, 2))
+        A[:, 0, 1] = drive(ts)
+        return A
+    return generator
+
+
 def test_ode_scalar_exponential():
-    out = ode_solve(lambda t, y: -y, np.array([1.0]), np.array([0.0, 1.0]))
+    out = ode_solve(_constant([[-1.0]]), np.array([1.0]), np.array([0.0, 1.0]))
     assert abs(out[-1, 0] - np.exp(-1.0)) < 1e-9
 
 
 def test_ode_phase_rotation_preserves_norm():
     omega = 3.0
     ts = np.linspace(0.0, 5.0, 11)
-    out = ode_solve(lambda t, y: 1j * omega * y, np.array([1.0 + 0.0j]), ts)
+    out = ode_solve(_constant([[1j * omega]]), np.array([1.0 + 0.0j]), ts)
     assert out.dtype.kind == "c"
     assert np.max(np.abs(np.abs(out[:, 0]) - 1.0)) < 1e-9
     # phase agrees with e^{i omega t}
@@ -102,17 +119,17 @@ def test_ode_phase_rotation_preserves_norm():
 
 def test_ode_dense_output_fills_grid():
     ts = np.linspace(0.0, 2.0, 21)
-    out = ode_solve(lambda t, y: -y, np.array([1.0]), ts)
+    out = ode_solve(_constant([[-1.0]]), np.array([1.0]), ts)
     assert np.max(np.abs(out[:, 0] - np.exp(-ts))) < 1e-9
 
     # a one-point grid is the initial state, without a step
-    def deriv(t, y):
-        raise AssertionError("right-hand side evaluated")
+    def generator(ts):
+        raise AssertionError("generator evaluated")
 
-    out = ode_solve(deriv, np.array([1.0, 2.0]), np.array([0.5]))
+    out = ode_solve(generator, np.array([1.0, 2.0]), np.array([0.5]))
     assert out.shape == (1, 2) and np.array_equal(out[0], [1.0, 2.0])
     # and an empty state has nothing to step
-    assert ode_solve(deriv, np.array([]), np.array([0.0, 1.0])).shape == (2, 0)
+    assert ode_solve(generator, np.array([]), np.array([0.0, 1.0])).shape == (2, 0)
 
 
 def test_ode_fills_each_grid_point_once_from_the_step_that_covers_it(monkeypatch):
@@ -130,18 +147,16 @@ def test_ode_fills_each_grid_point_once_from_the_step_that_covers_it(monkeypatch
             yield t_old, t_new, recorded
 
     monkeypatch.setattr(numerics, "_dop853_steps", recording)
-
-    def deriv(t, y):
-        return np.cos(t) * np.ones_like(y)
+    generator = _driven(np.cos)
 
     # the steps do not depend on the output grid, so a first run finds an
     # interior step end for the second, much finer grid to contain
-    ode_solve(deriv, np.array([0.0]), np.array([0.0, 10.0]))
+    ode_solve(generator, np.array([0.0, 1.0]), np.array([0.0, 10.0]))
     t_end = ends[len(ends) // 2]
     ts = np.union1d(np.linspace(0.0, 10.0, 10001), [t_end])
     ends.clear()
     filled.clear()
-    out = ode_solve(deriv, np.array([0.0]), ts)
+    out = ode_solve(generator, np.array([0.0, 1.0]), ts)
     assert np.array_equal(np.concatenate(filled), ts[1:])
     assert len(filled) <= len(ends) and any(t[-1] == t_end for t in filled)
     assert np.max(np.abs(out[:, 0] - np.sin(ts))) < 1e-9
@@ -160,11 +175,11 @@ def test_dop853_tableau_is_scipys():
     assert not np.triu(numerics._A).any()
 
 
-def _scipy_dop853(deriv, y0, ts):
+def _scipy_dop853(generator, y0, ts):
     """ts filled by scipy's DOP853 at ode_solve's tolerances: (states, nfev, t at failure)."""
     from scipy.integrate import DOP853
 
-    solver = DOP853(deriv, ts[0], y0, t_bound=ts[-1], rtol=numerics._ODE_RTOL,
+    solver = DOP853(lambda t, y: generator(np.array([t]))[0] @ y, ts[0], y0, t_bound=ts[-1], rtol=numerics._ODE_RTOL,
                     atol=numerics._ODE_ATOL)
     out = np.empty((ts.size, y0.size), dtype=solver.y.dtype)
     out[0] = y0
@@ -178,13 +193,13 @@ def _scipy_dop853(deriv, y0, ts):
     return out, solver.nfev, None
 
 
-def _ported_dop853(deriv, y0, ts):
-    """The same from ode_solve, its RHS calls counted."""
+def _ported_dop853(generator, y0, ts):
+    """The same from ode_solve, its stage times counted."""
     calls = []
 
-    def counted(t, y):
-        calls.append(t)
-        return deriv(t, y)
+    def counted(times):
+        calls.extend(times)
+        return generator(times)
     try:
         return ode_solve(counted, y0, ts), len(calls), None
     except OdeSolveError as exc:
@@ -192,49 +207,46 @@ def _ported_dop853(deriv, y0, ts):
 
 
 def _case_b_problem():
-    # the right-hand side evolve_tcl_ode builds for case b: its 9x9 generator
+    # the 9x9 generator evolve_tcl_ode builds for case b
     problem = {}
 
-    def capture(deriv, state0, t_grid):
-        problem.update(deriv=deriv, y0=state0)
+    def capture(generator, state0, t_grid):
+        problem.update(generator=generator, y0=state0)
         return np.zeros((len(t_grid), 9))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "ode_solve", capture)
         dynamics.evolve_tcl_ode(*reference_case("b"), [0.0, 1.0])
-    return problem["deriv"], problem["y0"], np.linspace(0.0, 100.0, 2001)
+    return problem["generator"], problem["y0"], np.linspace(0.0, 100.0, 2001)
 
 
-def _blow_up(t, y):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return y * y
+def _blow_up(ts):
+    # y' = y / (1 - t): y = 1 / (1 - t) from y(0) = 1, as y' = y^2 has
+    with np.errstate(divide="ignore"):
+        return (1.0 / (1.0 - ts))[:, None, None]
 
 
 @pytest.mark.parametrize("problem", [
     _case_b_problem,
-    lambda: (lambda t, y: 3j * y, np.array([1.0 + 0.0j]), np.linspace(0.0, 20.0, 41)),
+    lambda: (_constant([[3j]]), np.array([1.0 + 0.0j]), np.linspace(0.0, 20.0, 41)),
     lambda: (_blow_up, np.array([1.0]), np.array([0.0, 2.0])),
 ], ids=["case-b-generator", "complex-rotation", "blow-up"])
 def test_ode_solve_steps_as_scipys_dop853(problem):
-    deriv, y0, ts = problem()
-    want, want_nfev, want_fail = _scipy_dop853(deriv, y0, ts)
-    got, got_nfev, got_fail = _ported_dop853(deriv, y0, ts)
+    generator, y0, ts = problem()
+    want, want_nfev, want_fail = _scipy_dop853(generator, y0, ts)
+    got, got_nfev, got_fail = _ported_dop853(generator, y0, ts)
     assert got_nfev == want_nfev
     if want_fail is None:
         assert got_fail is None and got.dtype == want.dtype
         assert np.max(np.abs(got - want)) <= 1e-12
     else:
-        # y' = y^2 from y(0) = 1 blows up at t = 1: both stop there on step underflow
+        # y = 1 / (1 - t) blows up at t = 1: both stop there on step underflow
         assert got is None and abs(got_fail - want_fail) <= 1e-12
 
 
 def test_ode_step_failure_reports_last_time():
-    # y' = y^2 from y(0)=1 blows up at t=1
-    def deriv(t, y):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return y * y
-
+    # y' = y / (1 - t) from y(0)=1 blows up at t=1
     with pytest.raises(OdeSolveError) as err:
-        ode_solve(deriv, np.array([1.0]), np.array([0.0, 2.0]))
+        ode_solve(_blow_up, np.array([1.0]), np.array([0.0, 2.0]))
     assert 0.5 < err.value.last_t <= 1.05
 
 
@@ -243,7 +255,7 @@ import numpy as np
 from leakycavity.numerics import OdeSolveError, ode_solve
 
 try:
-    ode_solve(lambda t, y: np.full_like(y, np.nan), np.array([1.0]), np.array([0.5, 1.0]))
+    ode_solve(lambda ts: np.full((ts.size, 1, 1), np.nan), np.array([1.0]), np.array([0.5, 1.0]))
 except OdeSolveError as exc:
     print(exc.last_t, exc)
 """
@@ -267,42 +279,36 @@ def test_ode_step_budget_exhausted(monkeypatch):
     # budget runs out near t = 30
     monkeypatch.setattr(numerics, "_ODE_MAX_NFEV", 20_000)
     calls = []
-
-    def deriv(t, y):
-        calls.append(t)
-        return np.cos(t * t) * np.ones_like(y)
+    generator = _driven(lambda t: np.cos(t * t), calls)
 
     with pytest.raises(OdeSolveError, match="exhausted") as err:
-        ode_solve(deriv, np.array([0.0]), np.array([0.0, 100.0]))
+        ode_solve(generator, np.array([0.0, 1.0]), np.array([0.0, 100.0]))
     assert 1.0 < err.value.last_t < 100.0
-    # the budget counts RHS calls; the last step may pass it by its own stages
+    # the budget counts stage times; the last step may pass it by its own stages
     assert 20_000 <= len(calls) < 20_100
 
 
 def test_ode_hopeless_horizon_raises_after_one_percent_of_the_budget(monkeypatch):
-    # y' = cos t keeps DOP853's step near 0.43 at twelve RHS calls a step:
-    # 1% of a 100000-call budget reaches t ~ 33, under 1% of a 1e7 span, so
+    # y' = cos t keeps DOP853's step near 0.43 at twelve stage times a step:
+    # 1% of a 100000-call budget reaches t ~ 36, under 1% of a 1e7 span, so
     # the whole budget could not get there; the solver stops at once
     monkeypatch.setattr(numerics, "_ODE_MAX_NFEV", 100_000)
     calls = []
-
-    def deriv(t, y):
-        calls.append(t)
-        return np.cos(t) * np.ones_like(y)
+    generator = _driven(np.cos, calls)
 
     with pytest.raises(OdeSolveError, match="under 1% of the span") as err:
-        ode_solve(deriv, np.array([0.0]), np.array([0.0, 1e7]))
+        ode_solve(generator, np.array([0.0, 1.0]), np.array([0.0, 1e7]))
     assert 0.0 < err.value.last_t < 1e5
     # 1% of the budget and at most one more step's calls, not the budget
     assert 1000 <= len(calls) < 1100
     # a span that the same pace covers within the budget still succeeds
     ts = np.linspace(0.0, 500.0, 6)
-    out = ode_solve(deriv, np.array([0.0]), ts)
+    out = ode_solve(generator, np.array([0.0, 1.0]), ts)
     assert np.max(np.abs(out[:, 0] - np.sin(ts))) < 1e-8
 
 
 def test_ode_rejects_bad_grid():
     with pytest.raises(ValueError):
-        ode_solve(lambda t, y: -y, np.array([1.0]), np.array([0.0, 1.0, 0.5]))
+        ode_solve(_constant([[-1.0]]), np.array([1.0]), np.array([0.0, 1.0, 0.5]))
     with pytest.raises(ValueError):
-        ode_solve(lambda t, y: -y, np.array([1.0]), np.array([]))
+        ode_solve(_constant([[-1.0]]), np.array([1.0]), np.array([]))
