@@ -88,13 +88,13 @@ def asymptotic_rate_ratio(s, sys):
     """Stationary rate of the upper channel over the lower one.
 
     With the spectrum peaked on the lower channel this is
-    lam**2 / (4 Omega**2 + lam**2); configurations with omega1 elsewhere
+    lam**2 / (4 Omega**2 + lam**2); configurations with the peak elsewhere
     are rejected since the simple ratio formula no longer applies.
     """
-    if not np.isclose(s.omega1, sys.channels[0], rtol=1e-9, atol=1e-12):
+    if not np.isclose(s.detuning, sys.channels[0], rtol=1e-9, atol=1e-12):
         raise ValueError(
             "asymptotic_rate_ratio assumes the spectrum peaks on the lower "
-            f"dressed channel (omega1 = omega0 - Omega), got omega1={s.omega1}")
+            f"dressed channel (omega1 - omega0 = -Omega), got {s.detuning}")
     # one array, so that a 0/0 is a NaN for the caller's finite check
     lower, upper = stationary_rate(s, sys.channels)
     return upper / lower

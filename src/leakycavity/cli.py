@@ -96,11 +96,17 @@ class RunConfig:
             raise ConfigError("solver.kappa is only meaningful with solver.mode = phenomenological")
 
     def system(self):
-        return SystemParams(omega0=self.omega0, Omega=self.Omega)
+        if self.Omega / self.omega0 > 0.1:
+            warnings.warn(
+                f"Omega/omega0 = {self.Omega / self.omega0:.3g} > 0.1; the "
+                "rotating-wave treatment behind the dressed-state channels "
+                "is questionable here", stacklevel=2)
+        return SystemParams(Omega=self.Omega)
 
     def spectrum(self):
-        omega1 = self.omega0 - self.Omega if self.omega1 is None else self.omega1
-        return LorentzianSpectrum(alpha=self.alpha, lam=self.lam, omega1=omega1)
+        # omega1 - omega0 rounds nothing (Sterbenz) within a factor 2 of omega0
+        detuning = -self.Omega if self.omega1 is None else self.omega1 - self.omega0
+        return LorentzianSpectrum(alpha=self.alpha, lam=self.lam, detuning=detuning)
 
     def grid(self):
         ts = np.linspace(0.0, self.t_max, self.n_output)

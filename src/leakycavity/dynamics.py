@@ -5,9 +5,9 @@ At resonance the atom-cavity system is diagonalized by the dressed states
 with the ground state |E0> = |0,g> they span the full state space reachable
 from an initially excited atom in an empty, zero-temperature cavity.  The
 reservoir couples each dressed state to |E0> through its own channel with
-its own time-dependent rate gamma(omega0 +- Omega, t), giving the
-time-local master equation, in the frame rotating at omega0 on the
-excitation number (H = diag(0, -Omega, +Omega), less a constant)
+its own time-dependent rate gamma(+-Omega, t), giving the time-local master
+equation, in the frame rotating at omega0 on the excitation number
+(H = diag(0, -Omega, +Omega), less a constant)
 
     drho/dt = -i[H, rho]
               + sum_c gamma_c(t) * ( L_c rho L_c^dag / 2
@@ -22,7 +22,6 @@ it builds the linear generator G0 + gamma_-(t) G- + gamma_+(t) G+ on a real
 Basis order everywhere: [|E0>, |E1,->, |E1,+>].
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,37 +46,27 @@ E0, MINUS, PLUS = 0, 1, 2
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Atomic Bohr frequency omega0 and vacuum Rabi coupling Omega.
+    """Vacuum Rabi coupling Omega, in the frame rotating at omega0.
 
     The documented canonical configuration sets 2*Omega = 1 so times are
-    in units of 1/(2 Omega).  omega0 enters the dynamics only through
-    ``channels``, where the reservoir is probed.  It moves no population
-    only where omega0 -/+ Omega and their detunings from omega1 round
-    exactly, as at the omega0 the tests sample; at large omega0 they
-    round at ulp(omega0), and at 1e16 with Omega = 1/3 the channels
-    merge and the trapping is lost (a known defect).  The dressed-channel
-    dissipator assumes Omega << omega0, so Omega/omega0 > 0.1 draws a
-    warning rather than an error.
+    in units of 1/(2 Omega).  omega0 itself never enters: the channels
+    are offsets from it, and the reservoir is placed by its detuning
+    (``LorentzianSpectrum.detuning``), so no frequency near omega0 is
+    ever formed and rounded.  The dressed-channel dissipator assumes
+    Omega << omega0; the CLI, which reads omega0, warns where
+    Omega/omega0 > 0.1.
     """
 
-    omega0: float
     Omega: float
 
     def __post_init__(self):
-        if not self.omega0 > 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not self.Omega > 0.0:
             raise ValueError(f"Omega must be positive, got {self.Omega}")
-        if self.Omega / self.omega0 > 0.1:
-            warnings.warn(
-                f"Omega/omega0 = {self.Omega / self.omega0:.3g} > 0.1; the "
-                "rotating-wave treatment behind the dressed-state channels "
-                "is questionable here", stacklevel=3)
 
     @property
     def channels(self):
-        """The dressed channel frequencies [omega0 - Omega, omega0 + Omega]."""
-        return np.array([self.omega0 - self.Omega, self.omega0 + self.Omega])
+        """The dressed channel offsets from omega0, [-Omega, +Omega]."""
+        return np.array([-self.Omega, self.Omega])
 
 
 @dataclass(frozen=True)
@@ -108,7 +97,7 @@ class Trajectory:
 
 
 def hamiltonian(sys):
-    """Dressed-basis Hamiltonian diag(0, -Omega, +Omega): 2 Omega exact at any omega0."""
+    """Dressed-basis Hamiltonian diag(0, -Omega, +Omega), in the frame rotating at omega0."""
     return np.diag([0.0, -sys.Omega, sys.Omega]).astype(complex)
 
 

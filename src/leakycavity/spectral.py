@@ -2,16 +2,17 @@
 
 The cavity loss reservoir is characterized by the spectral density
 
-    J(omega) = (1/2pi) * alpha * lam**2 / ((omega1 - omega)**2 + lam**2),
+    J(omega) = (1/2pi) * alpha * lam**2 / ((detuning - omega)**2 + lam**2),
 
-a Lorentzian of half-width lam centered at omega1 with integrated weight
-alpha*lam/2.  To second order in the coupling the decay rate of a channel
-at transition frequency omega is the partial Fourier cosine transform
+a Lorentzian of half-width lam and integrated weight alpha*lam/2, with
+frequencies as offsets from omega0: it peaks at detuning = omega1 - omega0,
+and the decay rate of a dressed channel at offset omega = -+Omega is, to
+second order in the coupling, the partial Fourier cosine transform
 
     gamma(omega, t) = 2 Re int_0^t dtau int domega' e^{i(omega-omega')tau} J(omega'),
 
 which for the Lorentzian evaluates in closed form: the omega' integral
-leaves one correlation (alpha lam/2) e^{-z tau}, z = lam - i(omega1 - omega),
+leaves one correlation (alpha lam/2) e^{-z tau}, z = lam - i(detuning - omega),
 and the rate and its time integral are the exponential-integrator
 phi-functions of -z t.  This module provides the closed form, its
 stationary limit 2*pi*J(omega), the accumulated rate
@@ -39,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LorentzianSpectrum:
-    """Reservoir parameters: coupling alpha, half-width lam, peak frequency omega1.
+    """Reservoir parameters: coupling alpha, half-width lam, peak detuning omega1 - omega0.
 
     ``lam`` is the spectral width (inverse memory time); the name avoids
     the reserved word, config files spell it ``reservoir.lambda``.
@@ -47,7 +48,7 @@ class LorentzianSpectrum:
 
     alpha: float
     lam: float
-    omega1: float
+    detuning: float
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -62,8 +63,8 @@ def _check_nonnegative_time(t):
 
 
 def _exponent(s, omega):
-    """z = lam - i(omega1 - omega): the correlation at channel omega is (alpha lam/2) e^{-z tau}."""
-    return s.lam - 1j * (s.omega1 - omega)
+    """z = lam - i(detuning - omega): the correlation at channel omega is (alpha lam/2) e^{-z tau}."""
+    return s.lam - 1j * (s.detuning - omega)
 
 
 # 1/(k + p)! for k = 0..11, highest first: Horner order for the series of phi_p
@@ -96,10 +97,10 @@ def _phi(w, p):
 def rate_closed_form(s, omega, t):
     """Decay rate gamma(omega, t) for the Lorentzian reservoir.
 
-    gamma = alpha lam t Re phi_1(-z t), z = lam - i(omega1 - omega) (see
+    gamma = alpha lam t Re phi_1(-z t), z = lam - i(detuning - omega) (see
     docs/rate_integral.md).  Exactly zero at t = 0 for every omega;
     relaxes to the stationary value alpha lam Re(1/z) = 2 pi J(omega) on
-    the memory time 1/lam.  For channels detuned by |omega1 - omega| > lam
+    the memory time 1/lam.  For channels detuned by |detuning - omega| > lam
     the transient oscillates and the rate goes negative over part of the
     first few periods.  Broadcasts over omega and t: the channel axis
     SystemParams.channels[:, None] against a time grid gives both channels.
@@ -127,11 +128,11 @@ def rate_quadrature_oracle(s, omega, t):
         gamma(omega, t) = int_0^inf [J(omega+x) + J(omega-x)] * 2 sin(x t)/x dx.
 
     The x integral is evaluated numerically: composite Gauss-Legendre on
-    the window [0, R], R = |omega1 - omega| + K half-widths with K = 200,
+    the window [0, R], R = |detuning - omega| + K half-widths with K = 200,
     in ceil(R / min(lam/2, pi/(2t))) panels, each below half a half-width
     and half an oscillation period of the kernel, plus the Fourier-sine
     tail of the smooth integrand 2 [J(omega+x) + J(omega-x)]/x on
-    [R, inf) by numerics.fourier_sine_tail (panels in ln(x - |omega1 -
+    [R, inf) by numerics.fourier_sine_tail (panels in ln(x - |detuning -
     omega|) up to x t ~ 1, then half-periods of sin(x t) summed with
     Cohen-Rodriguez Villegas-Zagier acceleration), to relative 1e-10 and
     absolute 1e-12 alpha.  No use is made of the closed-form result; this is a test
@@ -160,11 +161,11 @@ def rate_quadrature_oracle(s, omega, t):
 
 def _oracle_channel(s, omega, t):
     """rate_quadrature_oracle at one float omega over a 1-D array of times."""
-    d = float(s.omega1 - omega)
+    d = float(s.detuning - omega)
     lam2 = float(s.lam * s.lam)  # a product overflows to inf where lam**2 would raise
-    c = float(s.alpha * lam2 / np.pi)  # 2 J(omega') = c / ((omega1 - omega')^2 + lam2)
+    c = float(s.alpha * lam2 / np.pi)  # 2 J(omega') = c / ((detuning - omega')^2 + lam2)
     R = abs(d) + _WINDOW_HALFWIDTHS * float(s.lam)
-    # J(omega1) reads 0/0, or the detuning overflows: NaN, as in the closed forms
+    # J at the peak reads 0/0, or the detuning overflows: NaN, as in the closed forms
     if lam2 == 0.0 or not R < np.inf:
         return np.full(t.shape, np.nan)
 
@@ -204,7 +205,7 @@ def _oracle_channel(s, omega, t):
 def accumulated_rate(s, omega, t):
     """I(omega, t) = int_0^t gamma(omega, t') dt', in closed form.
 
-    I = alpha lam t^2 Re phi_2(-z t) with z = lam - i(omega1 - omega)
+    I = alpha lam t^2 Re phi_2(-z t) with z = lam - i(detuning - omega)
     (derivation in docs/rate_integral.md); it vanishes at t = 0 and
     broadcasts over omega and t like rate_closed_form.
     """

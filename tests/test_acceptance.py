@@ -8,18 +8,18 @@ limits, the quadrature oracle, or the closed-form solution) before the
 implementation was written, never copied from its own output.
 """
 
+import io
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from leakycavity.analysis import detect_plateau
-from leakycavity.dynamics import (SystemParams, evolve_analytic,
-                                  evolve_phenomenological, evolve_tcl_ode,
-                                  populations, rho_analytic)
-from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
-                                  rate_closed_form, rate_quadrature_oracle,
-                                  stationary_rate)
+from leakycavity.dynamics import (evolve_analytic, evolve_phenomenological,
+                                  evolve_tcl_ode, populations, rho_analytic)
+from leakycavity.spectral import (accumulated_rate, rate_closed_form,
+                                  rate_quadrature_oracle, stationary_rate)
 from leakycavity import cli
 from powerlaw import short_time_exponent
 from reference import reference_case
@@ -51,8 +51,8 @@ def test_criterion_02_rates_vanish_at_t0():
     with criterion(2, "gamma(omega, 0) is exactly zero across omega1 +- 10 lambda"):
         for case in ("a", "b"):
             _, s = reference_case(case)
-            omegas = np.linspace(s.omega1 - 10.0 * s.lam,
-                                 s.omega1 + 10.0 * s.lam, 100)
+            omegas = np.linspace(s.detuning - 10.0 * s.lam,
+                                 s.detuning + 10.0 * s.lam, 100)
             rates = rate_closed_form(s, omegas, 0.0)
             assert np.all(rates == 0.0)
 
@@ -62,9 +62,9 @@ def test_criterion_03_oracle_equivalence():
                       "at 50 (omega, t) points per case"):
         for case in ("a", "b"):
             sys, s = reference_case(case)
-            omegas = (s.omega1 - 10.0 * s.lam, s.omega1 - 2.0 * sys.Omega,
-                      s.omega1, s.omega1 + 2.0 * sys.Omega,
-                      s.omega1 + 10.0 * s.lam)
+            omegas = (s.detuning - 10.0 * s.lam, s.detuning - 2.0 * sys.Omega,
+                      s.detuning, s.detuning + 2.0 * sys.Omega,
+                      s.detuning + 10.0 * s.lam)
             times = np.linspace(0.5, 20.0, 10) / s.lam
             worst = max(abs(rate_quadrature_oracle(s, w, t)
                             - float(rate_closed_form(s, w, t)))
@@ -155,27 +155,45 @@ def test_criterion_10_single_rate_model_cannot_trap():
         assert np.isnan(report.plateau_start)
 
 
-def test_criterion_11_omega0_invariance():
-    with criterion(11, "shifting omega0 across {50, 100, 200} moves no population "
-                       "by more than 1e-10"):
-        ts = np.linspace(0.0, 50.0, 501)
-        names = ("P_E0", "P_minus", "P_plus", "P_0g", "P_1g", "P_0e",
-                 "P_atom_g", "P_atom_e")
-        for case in ("a", "b"):
-            _, s0 = reference_case(case)
-            ode_pops, exact_pops = {}, {}
-            for omega0 in (50.0, 100.0, 200.0):
-                sys = SystemParams(omega0=omega0, Omega=0.5)
-                s = LorentzianSpectrum(alpha=s0.alpha, lam=s0.lam,
-                                       omega1=sys.channels[0])
-                ode = evolve_tcl_ode(sys, s, ts)
-                exact = evolve_analytic(sys, s, ts)
-                assert np.max(np.abs(ode.states - exact.states)) <= 1e-8
-                ode_pops[omega0] = np.column_stack([getattr(ode, n) for n in names])
-                exact_pops[omega0] = np.column_stack([getattr(exact, n) for n in names])
-            for omega0 in (50.0, 200.0):
-                assert np.max(np.abs(ode_pops[omega0] - ode_pops[100.0])) <= 1e-10
-                assert np.max(np.abs(exact_pops[omega0] - exact_pops[100.0])) <= 1e-10
+# criterion 11's runs: the closed-form and oracle rates, both evolve solvers
+# and a sweep, each at Omega = 1/3, where omega0 -/+ Omega would round
+_OMEGA0_RUNS = {
+    "rates": ["rates"],
+    "oracle": ["rates", "--set", "rates.mode=quadrature",
+               "--set", "evolve.t_max=3", "--set", "evolve.n_output=61"],
+    "analytic": ["evolve"],
+    "tcl-ode": ["evolve", "--set", "solver.mode=tcl-ode"],
+    "sweep": ["sweep", "--set", "evolve.t_max=300", "--set", "evolve.n_output=3001",
+              "--param", "lambda", "--from", "0.1", "--to", "1.0", "--steps", "3"],
+}
+
+
+def test_criterion_11_omega0_invariance(capsys):
+    with criterion(11, "shifting omega0 across {50, 1e8, 1e16, 1e300} moves no byte "
+                       "of the rates, evolve or sweep output"):
+        def output(run, *settings):
+            cmd, *rest = _OMEGA0_RUNS[run]
+            argv = [cmd, "--config", os.devnull, "--set", "system.Omega=0.3333333333333333",
+                    "--set", "output.precision=17", *rest]
+            for kv in settings:
+                argv += ["--set", kv]
+            assert cli.main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and out
+            return out
+
+        base = {run: output(run) for run in _OMEGA0_RUNS}
+        for run in _OMEGA0_RUNS:
+            for omega0 in ("50", "1e8", "1e16", "1e300"):
+                assert output(run, f"system.omega0={omega0}") == base[run], (run, omega0)
+        # a peak set off the lower channel: omega1 - omega0 = 0.25 exactly at both
+        for run in ("rates", "analytic"):
+            assert (output(run, "system.omega0=1e8", "reservoir.omega1=100000000.25")
+                    == output(run, "reservoir.omega1=100.25")), run
+        # and the shared tables are right: the ODE within criterion 04's 1e-8
+        ode, exact = (np.loadtxt(io.StringIO(base[run]), delimiter=",", skiprows=1)
+                      for run in ("tcl-ode", "analytic"))
+        assert np.max(np.abs(ode - exact)) <= 1e-8
 
 
 def test_criterion_12_byte_identical_reruns(tmp_path, capsys):

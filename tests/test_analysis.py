@@ -137,34 +137,34 @@ def test_asymptotic_rate_ratio_reference_values():
 
 
 def test_asymptotic_rate_ratio_flat_spectrum_limit():
-    sys = SystemParams(omega0=100.0, Omega=0.5)
-    s = LorentzianSpectrum(alpha=0.1, lam=1e4, omega1=sys.channels[0])
+    sys = SystemParams(Omega=0.5)
+    s = LorentzianSpectrum(alpha=0.1, lam=1e4, detuning=sys.channels[0])
     assert asymptotic_rate_ratio(s, sys) > 1.0 - 1e-7
 
 
 def test_asymptotic_rate_ratio_scale_invariance():
     for scale in (2.0, 7.5):
-        sys1 = SystemParams(omega0=100.0, Omega=0.5)
-        sys2 = SystemParams(omega0=100.0 * scale, Omega=0.5 * scale)
-        s1 = LorentzianSpectrum(alpha=0.1, lam=0.31, omega1=sys1.channels[0])
+        sys1 = SystemParams(Omega=0.5)
+        sys2 = SystemParams(Omega=0.5 * scale)
+        s1 = LorentzianSpectrum(alpha=0.1, lam=0.31, detuning=sys1.channels[0])
         s2 = LorentzianSpectrum(alpha=0.1, lam=0.31 * scale,
-                                omega1=sys2.channels[0])
+                                detuning=sys2.channels[0])
         r1 = asymptotic_rate_ratio(s1, sys1)
         r2 = asymptotic_rate_ratio(s2, sys2)
         assert abs(r1 - r2) < 1e-14
 
 
 def test_asymptotic_rate_ratio_rejects_off_peak_configuration():
-    sys = SystemParams(omega0=100.0, Omega=0.5)
-    s = LorentzianSpectrum(alpha=0.1, lam=0.3, omega1=sys.omega0)
+    sys = SystemParams(Omega=0.5)
+    s = LorentzianSpectrum(alpha=0.1, lam=0.3, detuning=0.0)
     with pytest.raises(ValueError):
         asymptotic_rate_ratio(s, sys)
 
 
 def test_reference_case_values():
     sys, sa = reference_case("a")
-    assert sys.Omega == 0.5 and sys.omega0 == 100.0
-    assert sa.alpha == 0.1 and sa.omega1 == 99.5
+    assert sys.Omega == 0.5
+    assert sa.alpha == 0.1 and sa.detuning == -0.5
     assert sa.lam == 1.0 / 3.0
     _, sb = reference_case("b")
     assert sb.lam == 1.0 / np.sqrt(99.0)

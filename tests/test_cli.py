@@ -58,7 +58,7 @@ def test_defaults_and_omega1_fallback():
     cfg = load_config(None, [])
     assert cfg.omega0 == 100.0 and cfg.Omega == 0.5
     assert cfg.omega1 is None
-    assert cfg.spectrum().omega1 == pytest.approx(99.5, abs=0.0)
+    assert cfg.spectrum().detuning == -0.5
     assert cfg.output_path == "-" and cfg.precision == 12
 
 
@@ -227,14 +227,16 @@ def test_hopeless_ode_horizon_is_one_numerical_error_line(settings, message):
 
 
 def test_tcl_ode_matches_analytic_at_huge_omega0(capsys):
-    # 2 Omega is far below an ulp of omega0 = 1e20; the coherence still rotates
-    argv = ["evolve", "--config", os.devnull, "--set", "system.omega0=1e20",
-            "--set", "evolve.t_max=3", "--set", "evolve.n_output=4",
-            "--set", "output.precision=17"]
+    # 2 Omega is far below an ulp of omega0 = 1e20; the coherence still
+    # rotates, and both solvers print the omega0 = 100 table
+    argv = ["evolve", "--config", os.devnull, "--set", "evolve.t_max=3",
+            "--set", "evolve.n_output=4", "--set", "output.precision=17"]
     tables = []
     for mode in ("analytic", "tcl-ode"):
-        code, out, err = run_cli(argv + ["--set", f"solver.mode={mode}"], capsys)
+        mode_argv = argv + ["--set", f"solver.mode={mode}"]
+        code, out, err = run_cli(mode_argv + ["--set", "system.omega0=1e20"], capsys)
         assert code == 0 and err == ""
+        assert run_cli(mode_argv, capsys) == (0, out, "")
         tables.append(parse_csv(out)[1])
     assert np.max(np.abs(tables[0] - tables[1])) < 1e-10
 
@@ -615,6 +617,19 @@ def test_sweep_rejects_an_omega1_it_would_ignore(tmp_path, capsys):
     assert run_cli(argv + ["--set", "reservoir.omega1=99.5"], capsys) == default
 
 
+@pytest.mark.parametrize("omega0, omega1", [("100", "104.5"), ("1e10", "10000000004.5")])
+def test_sweep_rejects_a_peak_off_the_lower_channel_at_any_omega0(omega0, omega1, capsys):
+    # the peak sits 5 above the lower channel; the check compares the
+    # detuning with -Omega, not omega1 with omega0 - Omega relative to omega0
+    code, out, err = run_cli(
+        ["sweep", "--config", os.devnull, "--set", f"system.omega0={omega0}",
+         "--set", f"reservoir.omega1={omega1}", "--param", "lambda",
+         "--from", "0.1", "--to", "0.1", "--steps", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: config: asymptotic_rate_ratio assumes the spectrum peaks on "
+                   "the lower dressed channel (omega1 - omega0 = -Omega), got 4.5\n")
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -714,6 +729,10 @@ def test_rotating_wave_warning_is_one_stderr_line(tmp_path, capsys):
     assert err == ("warning: Omega/omega0 = 0.25 > 0.1; the rotating-wave "
                    "treatment behind the dressed-state channels is questionable here\n")
     assert out_path.read_text().startswith("t,P_E0,")
+    # figures ignores system.*, so its preset omega0 = 100 draws no warning
+    code, out, err = run_cli(["figures", "--id", "2", "--case", "a",
+                              "--set", "system.omega0=1"], capsys)
+    assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize("override, code, prefix", [

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Chebyshev
 
 from leakycavity import dynamics, spectral
+from leakycavity.cli import RunConfig
 from leakycavity.dynamics import (SystemParams, _pack, _unpack,
                                   evolve_analytic, evolve_phenomenological,
                                   evolve_tcl_ode, hamiltonian,
@@ -19,18 +21,22 @@ from reference import reference_case
 
 def test_system_params_validation_and_warning():
     with pytest.raises(ValueError):
-        SystemParams(omega0=-1.0, Omega=0.5)
+        RunConfig(omega0=-1.0).system()
     with pytest.raises(ValueError):
-        SystemParams(omega0=10.0, Omega=0.0)
+        SystemParams(Omega=0.0)
+    with pytest.raises(TypeError):  # the channels are offsets from omega0
+        SystemParams(omega0=100.0, Omega=0.5)
     with pytest.warns(UserWarning, match="rotating-wave"):
-        SystemParams(omega0=1.0, Omega=0.5)
-    sys = SystemParams(omega0=100.0, Omega=0.5)
-    assert sys.channels[0] == 99.5 and sys.channels[1] == 100.5
+        RunConfig(omega0=1.0, Omega=0.5).system()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sys = RunConfig(omega0=5.0, Omega=0.5).system()
+    assert sys.channels[0] == -0.5 and sys.channels[1] == 0.5
 
 
 def test_rotating_wave_warning_names_the_caller():
     with pytest.warns(UserWarning, match="rotating-wave") as record:
-        SystemParams(omega0=1.0, Omega=0.5)
+        RunConfig(omega0=1.0, Omega=0.5).system()
     assert record[0].filename == __file__
 
 
@@ -46,20 +52,20 @@ def test_initial_state():
 
 
 def test_rho_analytic_matches_initial_state_at_t0():
-    sys = SystemParams(omega0=100.0, Omega=0.5)
+    sys = SystemParams(Omega=0.5)
     np.testing.assert_array_equal(rho_analytic(sys, 0.0, 0.0, 0.0),
                                   initial_state_atom_excited())
 
 
 def test_rho_analytic_full_decay():
-    sys = SystemParams(omega0=100.0, Omega=0.5)
+    sys = SystemParams(Omega=0.5)
     rho = rho_analytic(sys, 800.0, 800.0, 10.0)
     np.testing.assert_allclose(rho, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
 
 
 def test_rho_analytic_one_channel_switched_off():
     # the upper channel keeps its half of the population forever
-    sys = SystemParams(omega0=100.0, Omega=0.5)
+    sys = SystemParams(Omega=0.5)
     rho = rho_analytic(sys, 700.0, 0.0, 5.0)
     assert abs(rho[0, 0] - 0.5) < 1e-15
     assert abs(rho[2, 2] - 0.5) < 1e-15
@@ -67,7 +73,7 @@ def test_rho_analytic_one_channel_switched_off():
 
 
 def test_rho_analytic_trace_and_saturated_coherence():
-    sys = SystemParams(omega0=100.0, Omega=0.5)
+    sys = SystemParams(Omega=0.5)
     rng_I = [(0.0, 0.0), (0.3, 0.01), (2.0, 0.4), (9.0, 0.05), (40.0, 3.0)]
     for I_m, I_p in rng_I:
         rho = rho_analytic(sys, I_m, I_p, 1.7)
@@ -246,10 +252,10 @@ def test_tcl_ode_case_b_to_t100_makes_under_6000_rhs_calls(monkeypatch):
 def _stage_batches(draw):
     """A system, a spectrum and a batch of times with |z t| on both sides of
     _phi's series switch at 0.1 for the lower channel."""
-    sys = SystemParams(omega0=100.0, Omega=draw(st.floats(0.05, 1.0)))
+    sys = SystemParams(Omega=draw(st.floats(0.05, 1.0)))
     s = LorentzianSpectrum(alpha=draw(st.floats(1e-3, 1.0)), lam=draw(st.floats(1e-3, 10.0)),
-                           omega1=sys.channels[0] + draw(st.floats(-5.0, 5.0)))
-    switch = 0.1 / abs(s.lam - 1j * (s.omega1 - sys.channels[0]))
+                           detuning=sys.channels[0] + draw(st.floats(-5.0, 5.0)))
+    switch = 0.1 / abs(s.lam - 1j * (s.detuning - sys.channels[0]))
     scales = [draw(st.floats(0.0, 0.999)), draw(st.floats(1.001, 50.0)),
               *draw(st.lists(st.floats(0.0, 50.0), max_size=10))]
     return sys, s, switch * np.array(draw(st.permutations(scales)))
@@ -261,7 +267,7 @@ def test_batched_rates_and_generator_are_bitwise_the_per_time_ones(batch):
     # ode_solve asks for a step's stage times at once; the states match the
     # per-stage right-hand side bit for bit only if no value depends on its batch
     sys, s, ts = batch
-    w = np.abs(s.lam - 1j * (s.omega1 - sys.channels[:, None])) * ts
+    w = np.abs(s.lam - 1j * (s.detuning - sys.channels[:, None])) * ts
     assert (w < 0.1).any() and (w >= 0.1).any()
     rates = rate_closed_form(s, sys.channels[:, None], ts)
     np.testing.assert_array_equal(
@@ -290,38 +296,6 @@ def test_ode_rates_forced_to_zero_gives_rabi_oscillation():
     expected = np.cos(sys.Omega * ts) ** 2
     assert np.max(np.abs(traj.P_0e - expected)) < 1e-9
     assert np.max(np.abs(traj.P_minus - 0.5)) < 1e-10
-
-
-def test_tcl_ode_keeps_the_rabi_splitting_at_large_omega0():
-    # H rotates at omega0, so 2 Omega is not rebuilt as the difference of two
-    # energies near omega0/2, which at omega0 = 1e8 rounds it by 1e-8
-    sys = SystemParams(omega0=1e8, Omega=1.0 / 3.0)
-    s = LorentzianSpectrum(alpha=0.1, lam=1.0 / 3.0, omega1=sys.channels[0])
-    ts = np.linspace(0.0, 100.0, 2001)
-    got = evolve_tcl_ode(sys, s, ts)
-    assert np.max(np.abs(got.states - evolve_analytic(sys, s, ts).states)) < 1e-8
-    gens = [np.array(dynamics._generator(SystemParams(omega0=omega0, Omega=1.0 / 3.0)))
-            for omega0 in (50.0, 1e20)]
-    assert gens[0].tobytes() == gens[1].tobytes()
-
-
-@pytest.mark.xfail(strict=True, reason="omega0 -/+ Omega rounds at ulp(omega0): "
-                   "the channels merge and the trapping is lost (ROADMAP item 7)")
-@pytest.mark.parametrize("omega0", [1e8, 1e16])
-def test_large_omega0_moves_no_population(omega0):
-    # at omega0 = 100 every channel difference is exact; with the channels
-    # rounded at ulp(omega0), max |dP+| on [0, 300] reads 4.4e-9 at 1e8 and
-    # 0.26 at 1e16
-    ts = np.linspace(0.0, 300.0, 3001)
-    pops, rates = [], []
-    for w0 in (100.0, omega0):
-        sys = SystemParams(omega0=w0, Omega=1.0 / 3.0)
-        s = LorentzianSpectrum(alpha=0.2 * sys.Omega, lam=1.0 / 3.0, omega1=sys.channels[0])
-        traj = evolve_analytic(sys, s, ts)
-        pops.append(np.column_stack([traj.P_E0, traj.P_minus, traj.P_plus, traj.P_atom_e]))
-        rates.append(rate_closed_form(s, sys.channels[:, None], ts))
-    assert np.max(np.abs(pops[1] - pops[0])) <= 1e-12
-    assert np.max(np.abs(rates[1] - rates[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["a", "b"])
@@ -415,22 +389,15 @@ def test_dressed_channels_decouple():
 
 
 def test_populations_independent_of_omega0():
-    # under the standard configuration the peak tracks the lower channel
-    # (omega1 = omega0 - Omega), so omega0 only shifts absolute energies
-    _, s = reference_case("a")
-    ts = np.linspace(0.0, 25.0, 251)
-    base = None
-    for omega0 in (50.0, 100.0, 200.0):
-        sys = SystemParams(omega0=omega0, Omega=0.5)
-        s_w = LorentzianSpectrum(alpha=s.alpha, lam=s.lam,
-                                 omega1=sys.channels[0])
-        traj = evolve_analytic(sys, s_w, ts)
-        cols = np.column_stack([getattr(traj, n) for n in
-                                ("P_E0", "P_minus", "P_plus", "P_0e", "P_atom_g")])
-        if base is None:
-            base = cols
-        else:
-            assert np.max(np.abs(cols - base)) < 1e-14
+    # omega0 stays in the config: with the peak on the lower channel
+    # (omega1 unset) every omega0 hands the library the same system and
+    # spectrum, so the same populations, at Omega = 1/3 too, where
+    # omega0 -/+ Omega would round
+    base = RunConfig(Omega=1.0 / 3.0)
+    assert base.spectrum().detuning == -base.Omega
+    for omega0 in (50.0, 200.0, 1e8, 1e16, 1e300):
+        cfg = RunConfig(omega0=omega0, Omega=1.0 / 3.0)
+        assert cfg.system() == base.system() and cfg.spectrum() == base.spectrum()
 
 
 def test_phenomenological_kappa_zero_is_rabi():

@@ -14,14 +14,16 @@ from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
 from reference import reference_case
 
 # an off-reference spectrum so checks do not rely on the canonical numbers
-GENERIC = LorentzianSpectrum(alpha=0.2, lam=0.37, omega1=5.0)
+GENERIC = LorentzianSpectrum(alpha=0.2, lam=0.37, detuning=5.0)
 
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
-        LorentzianSpectrum(alpha=0.0, lam=1.0, omega1=1.0)
+        LorentzianSpectrum(alpha=0.0, lam=1.0, detuning=1.0)
     with pytest.raises(ValueError):
-        LorentzianSpectrum(alpha=1.0, lam=-1.0, omega1=1.0)
+        LorentzianSpectrum(alpha=1.0, lam=-1.0, detuning=1.0)
+    with pytest.raises(TypeError):  # the peak is placed by its detuning from omega0
+        LorentzianSpectrum(alpha=1.0, lam=1.0, omega1=1.0)
 
 
 def test_density_peak_halfwidth_and_tail():
@@ -31,20 +33,20 @@ def test_density_peak_halfwidth_and_tail():
     def spectral_density(s, omega):
         return stationary_rate(s, omega) / (2 * np.pi)
 
-    assert abs(spectral_density(s, s.omega1) - s.alpha / (2 * np.pi)) < 1e-16
+    assert abs(spectral_density(s, s.detuning) - s.alpha / (2 * np.pi)) < 1e-16
     for sign in (-1, 1):
-        val = spectral_density(s, s.omega1 + sign * s.lam)
+        val = spectral_density(s, s.detuning + sign * s.lam)
         assert abs(val - s.alpha / (4 * np.pi)) < 1e-16
-        far = spectral_density(s, s.omega1 + sign * 1000 * s.lam)
+        far = spectral_density(s, s.detuning + sign * 1000 * s.lam)
         assert far <= s.alpha / (2 * np.pi) * 1e-6
     # positivity everywhere
-    w = np.linspace(s.omega1 - 50, s.omega1 + 50, 999)
+    w = np.linspace(s.detuning - 50, s.detuning + 50, 999)
     assert np.all(spectral_density(s, w) > 0.0)
 
 
 def test_rate_zero_at_t0_exactly():
     for s in (GENERIC, reference_case("a")[1], reference_case("b")[1]):
-        w = np.linspace(s.omega1 - 10 * s.lam, s.omega1 + 10 * s.lam, 100)
+        w = np.linspace(s.detuning - 10 * s.lam, s.detuning + 10 * s.lam, 100)
         assert np.all(rate_closed_form(s, w, 0.0) == 0.0)
 
 
@@ -53,7 +55,7 @@ def test_rate_resonant_channel_form():
     s = GENERIC
     t = np.linspace(0.0, 30.0, 301)
     expected = s.alpha * (1.0 - np.exp(-s.lam * t))
-    np.testing.assert_allclose(rate_closed_form(s, s.omega1, t), expected,
+    np.testing.assert_allclose(rate_closed_form(s, s.detuning, t), expected,
                                rtol=1e-14, atol=0.0)
 
 
@@ -65,7 +67,7 @@ def test_rate_detuned_channel_form():
     k = s.alpha * s.lam**2 / (4 * W**2 + s.lam**2)
     expected = k * (1.0 + ((2 * W / s.lam) * np.sin(2 * W * t)
                            - np.cos(2 * W * t)) * np.exp(-s.lam * t))
-    got = rate_closed_form(s, s.omega1 + 2 * W, t)
+    got = rate_closed_form(s, s.detuning + 2 * W, t)
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-17 * s.alpha)
 
 
@@ -82,11 +84,11 @@ def test_rate_negative_transient_narrow_reservoir():
 
 def test_rate_rejects_negative_time():
     with pytest.raises(ValueError):
-        rate_closed_form(GENERIC, GENERIC.omega1, -0.1)
+        rate_closed_form(GENERIC, GENERIC.detuning, -0.1)
     with pytest.raises(ValueError):
-        rate_quadrature_oracle(GENERIC, GENERIC.omega1, -1.0)
+        rate_quadrature_oracle(GENERIC, GENERIC.detuning, -1.0)
     with pytest.raises(ValueError):
-        accumulated_rate(GENERIC, GENERIC.omega1, -1.0)
+        accumulated_rate(GENERIC, GENERIC.detuning, -1.0)
 
 
 def test_rate_relaxation_to_stationary():
@@ -95,45 +97,45 @@ def test_rate_relaxation_to_stationary():
     # ulps of the stationary value on top of the analytic envelope
     s = GENERIC
     eps = np.finfo(float).eps
-    for w in (s.omega1, s.omega1 + 3.7 * s.lam, s.omega1 - 9 * s.lam):
+    for w in (s.detuning, s.detuning + 3.7 * s.lam, s.detuning - 9 * s.lam):
         stat = stationary_rate(s, w)
         t = np.linspace(30.0 / s.lam, 60.0 / s.lam, 50)
         dev = np.abs(rate_closed_form(s, w, t) - stat)
-        bound = stat * np.exp(-s.lam * t) * (1.0 + abs(s.omega1 - w) / s.lam)
+        bound = stat * np.exp(-s.lam * t) * (1.0 + abs(s.detuning - w) / s.lam)
         assert np.all(dev <= bound + 16 * eps * stat)
 
 
 def test_stationary_rate_values():
     sys, sa = reference_case("a")
     _, sb = reference_case("b")
-    assert abs(stationary_rate(sa, sa.omega1) - sa.alpha) < 1e-15
+    assert abs(stationary_rate(sa, sa.detuning) - sa.alpha) < 1e-15
     assert abs(stationary_rate(sa, sys.channels[1]) / stationary_rate(sa, sys.channels[0])
                - 0.1) < 1e-12
     assert abs(stationary_rate(sb, sys.channels[1]) / stationary_rate(sb, sys.channels[0])
                - 0.01) < 1e-12
     # 2 pi J, with J the Lorentzian of the module docstring
     s, w = GENERIC, 4.2
-    J = s.alpha * s.lam**2 / (2 * np.pi * ((s.omega1 - w)**2 + s.lam**2))
+    J = s.alpha * s.lam**2 / (2 * np.pi * ((s.detuning - w)**2 + s.lam**2))
     assert abs(stationary_rate(s, w) - 2 * np.pi * J) <= 4 * np.finfo(float).eps * 2 * np.pi * J
 
 
 def test_oracle_trivial_time_and_preconditions():
-    assert rate_quadrature_oracle(GENERIC, GENERIC.omega1, 0.0) == 0.0
+    assert rate_quadrature_oracle(GENERIC, GENERIC.detuning, 0.0) == 0.0
 
 
 def test_oracle_matches_closed_form_on_peak():
     _, s = reference_case("a")
     t = 5.0 / s.lam
-    got = rate_quadrature_oracle(s, s.omega1, t)
-    assert abs(got - rate_closed_form(s, s.omega1, t)) < 1e-6 * s.alpha
+    got = rate_quadrature_oracle(s, s.detuning, t)
+    assert abs(got - rate_closed_form(s, s.detuning, t)) < 1e-6 * s.alpha
 
 
 def test_oracle_matches_closed_form_grid():
     for case in ("a", "b"):
         sys, s = reference_case(case)
-        # omega = 0 lies far below the peak: omega - x crosses zero frequency
-        omegas = [0.0, s.omega1 - 10 * s.lam, sys.channels[0] - 2 * sys.Omega,
-                  s.omega1, sys.channels[1], s.omega1 + 10 * s.lam]
+        # omega = -100, absolute frequency 0, lies far below the peak
+        omegas = [-100.0, s.detuning - 10 * s.lam, sys.channels[0] - 2 * sys.Omega,
+                  s.detuning, sys.channels[1], s.detuning + 10 * s.lam]
         for w in omegas:
             for t in (1e-3, 0.5 / s.lam, 2.0 / s.lam, 20.0 / s.lam, 300.0):
                 diff = abs(rate_quadrature_oracle(s, w, t)
@@ -173,7 +175,7 @@ def test_channel_axis_matches_per_channel_calls(rate, t):
 def test_oracle_generic_spectrum():
     # not tied to the canonical configuration
     s = GENERIC
-    for w in (s.omega1 + 1.3, s.omega1 - 2.2):
+    for w in (s.detuning + 1.3, s.detuning - 2.2):
         for t in (0.3, 2.0, 11.0):
             diff = abs(rate_quadrature_oracle(s, w, t) - rate_closed_form(s, w, t))
             assert diff < 1e-6 * s.alpha
@@ -181,10 +183,10 @@ def test_oracle_generic_spectrum():
 
 def test_accumulated_rate_zero_and_resonant_form():
     s = GENERIC
-    assert accumulated_rate(s, s.omega1 + 1.0, 0.0) == 0.0
+    assert accumulated_rate(s, s.detuning + 1.0, 0.0) == 0.0
     t = np.linspace(0.0, 20.0, 201)
     expected = s.alpha * (t - (1.0 - np.exp(-s.lam * t)) / s.lam)
-    np.testing.assert_allclose(accumulated_rate(s, s.omega1, t), expected,
+    np.testing.assert_allclose(accumulated_rate(s, s.detuning, t), expected,
                                rtol=1e-12, atol=1e-16)
 
 
@@ -220,8 +222,8 @@ def test_accumulated_rate_asymptotic_slope():
 def test_accumulated_rate_monotone_where_rate_nonnegative():
     _, s = reference_case("a")
     t = np.linspace(0.0, 50.0, 501)
-    assert np.all(rate_closed_form(s, s.omega1, t) >= 0.0)
-    I = accumulated_rate(s, s.omega1, t)
+    assert np.all(rate_closed_form(s, s.detuning, t) >= 0.0)
+    I = accumulated_rate(s, s.detuning, t)
     assert np.all(np.diff(I) >= 0.0)
 
 
@@ -231,7 +233,7 @@ def test_oracle_quadrature_failure_surfaces(monkeypatch):
     s = GENERIC
     monkeypatch.setattr(numerics, "_TAIL_TERMS", 9)
     with pytest.raises(QuadratureError):
-        rate_quadrature_oracle(s, s.omega1 + 0.3, 2.0)
+        rate_quadrature_oracle(s, s.detuning + 0.3, 2.0)
 
 
 def test_oracle_at_huge_time_raises_without_allocating():
@@ -240,7 +242,7 @@ def test_oracle_at_huge_time_raises_without_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureError, match="budget"):
-            rate_quadrature_oracle(s, s.omega1, 1e12)
+            rate_quadrature_oracle(s, s.detuning, 1e12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -251,19 +253,19 @@ def test_oracle_at_overflowing_panel_count_is_the_budget_error():
     # R / (pi / 2t) overflows to an infinite panel count: one error, no warning
     _, s = reference_case("a")
     with pytest.raises(QuadratureError, match="needs inf panels"):
-        rate_quadrature_oracle(s, s.omega1, 1e308)
+        rate_quadrature_oracle(s, s.detuning, 1e308)
 
 
 def test_oracle_window_at_large_time_stays_in_small_blocks():
     # t = 2e4 at lam = 0.1 splits the window into ~2.5e5 panels, 4e6 nodes
-    s = LorentzianSpectrum(alpha=0.1, lam=0.1, omega1=99.5)
+    s = LorentzianSpectrum(alpha=0.1, lam=0.1, detuning=-0.5)
     tracemalloc.start()
     try:
-        value = rate_quadrature_oracle(s, s.omega1, 2e4)
+        value = rate_quadrature_oracle(s, s.detuning, 2e4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert abs(value - rate_closed_form(s, s.omega1, 2e4)) < 1e-6 * s.alpha
+    assert abs(value - rate_closed_form(s, s.detuning, 2e4)) < 1e-6 * s.alpha
     assert peak < 2_000_000
 
 
@@ -276,9 +278,9 @@ def test_oracle_point_does_not_depend_on_the_batch(log_lam, offset, below, above
     # half a half-width wide and start to shrink like 1/t, so the batch
     # holds at least two panel counts; t = 0 joins it
     lam = 10.0**log_lam
-    s = LorentzianSpectrum(alpha=0.1, lam=lam, omega1=5.0)
+    s = LorentzianSpectrum(alpha=0.1, lam=lam, detuning=5.0)
     t = np.array([0.0, below, above, *more]) * np.pi / lam
-    omegas = s.omega1 + np.array([offset, -0.5 * offset])
+    omegas = s.detuning + np.array([offset, -0.5 * offset])
     got = rate_quadrature_oracle(s, omegas[:, None], t)
     want = [[rate_quadrature_oracle(s, w, u) for u in t.tolist()] for w in omegas.tolist()]
     np.testing.assert_array_equal(got, want)
@@ -288,13 +290,13 @@ def closed_forms_50_digits(s, omega, t):
     """(gamma, I) in 50-digit arithmetic, from the float parameters taken exactly.
 
     gamma = alpha lam t Re phi_1(w) and I = alpha lam t^2 Re phi_2(w), with
-    w = -z t, z = lam - i(omega1 - omega), phi_1(w) = expm1(w)/w and
+    w = -z t, z = lam - i(detuning - omega), phi_1(w) = expm1(w)/w and
     phi_2 = (phi_1 - 1)/w.  That quotient loses the digits of 1/|w|, which
     the working precision adds back.
     """
-    size = abs(complex(s.lam, s.omega1 - omega)) * t
+    size = abs(complex(s.lam, s.detuning - omega)) * t
     with mpmath.workdps(50 + (int(-np.log10(size)) if 0.0 < size < 1.0 else 0)):
-        z = mpmath.mpc(s.lam, -(mpmath.mpf(s.omega1) - mpmath.mpf(omega)))
+        z = mpmath.mpc(s.lam, -(mpmath.mpf(s.detuning) - mpmath.mpf(omega)))
         t = mpmath.mpf(t)
         w = -z * t
         if not w:
@@ -314,9 +316,9 @@ def _assert_closed_forms_match_50_digits(s, omega, t, rel):
 def test_closed_forms_match_50_digits_across_the_decades():
     # 168 points with lam t and |d| t from 1e-14 to 1e3, the short-time end
     # included, where real-arithmetic forms subtract nearly equal terms;
-    # omega1 = 0 and omega = -d make the detuning d exact
+    # detuning = 0 and omega = -d make d exact
     for lam in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0):
-        s = LorentzianSpectrum(alpha=0.1, lam=lam, omega1=0.0)
+        s = LorentzianSpectrum(alpha=0.1, lam=lam, detuning=0.0)
         for d in (0.0, 1e-3 * lam, 10.0 * lam, 1.0):
             for t in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 100.0):
                 _assert_closed_forms_match_50_digits(s, -d, t, rel=1e-12)
@@ -331,10 +333,10 @@ def _decades(lo, hi):
        ratio=st.one_of(st.just(0.0), _decades(-6.0, 6.0)), sign=st.sampled_from((-1.0, 1.0)),
        size=_decades(-14.0, 3.0))
 def test_closed_forms_properties_across_the_decades(alpha, lam, ratio, sign, size):
-    # d = omega1 - omega runs from 1e-6 lam to 1e6 lam; t is drawn through
+    # d = detuning - omega runs from 1e-6 lam to 1e6 lam; t is drawn through
     # |w| = |z| t up to 1e3, beyond which the rounding of w itself moves the
     # oscillating factor by more than 1e-12
-    s = LorentzianSpectrum(alpha=alpha, lam=lam, omega1=0.0)
+    s = LorentzianSpectrum(alpha=alpha, lam=lam, detuning=0.0)
     omega = -sign * ratio * lam
     t = size / abs(complex(lam, ratio * lam))
     _assert_closed_forms_match_50_digits(s, omega, t, rel=1e-12)
@@ -388,16 +390,16 @@ def test_oracle_below_t_1e_154_is_exact_without_warnings():
 def test_oracle_on_far_detuned_channels():
     # |d| = 50 and 100 at lam = 1e-3 put the Lorentzian's poles 0.2 from R;
     # panels spaced in ln x, about |d| wide there, miss the tolerance
-    s = LorentzianSpectrum(alpha=0.1, lam=1e-3, omega1=100.0)
+    s = LorentzianSpectrum(alpha=0.1, lam=1e-3, detuning=0.0)
     t = np.array([1e-3, 0.1, 1.0, 10.0])
-    for omega in (0.0, 50.0, 150.0, 200.0):
+    for omega in (-100.0, -50.0, 50.0, 100.0):
         got = rate_quadrature_oracle(s, omega, t)
         assert np.max(np.abs(got - rate_closed_form(s, omega, t))) < 1e-13 * s.alpha
 
 
 def _folded_tail_integrand(s, omega):
     """The oracle's tail: R, |d| and 2 [J(omega + x) + J(omega - x)] / x past R."""
-    d, lam2 = s.omega1 - omega, s.lam * s.lam
+    d, lam2 = s.detuning - omega, s.lam * s.lam
     c = s.alpha * lam2 / np.pi
     return (abs(d) + 200 * s.lam, abs(d),
             lambda x: (c / ((d - x) ** 2 + lam2) + c / ((d + x) ** 2 + lam2)) / x)
@@ -408,9 +410,9 @@ def test_fourier_tail_matches_qawf_where_qawf_is_sound(lam):
     # the benchmark's oracle grid (401 points to t = 20, Omega = 0.5,
     # alpha = 0.1) where R t >= 1; QAWF runs 100 times tighter than the bound,
     # as at the oracle's own 1e-12 alpha it is off by up to 1.9e-13 alpha
-    s = LorentzianSpectrum(alpha=0.1, lam=lam, omega1=99.5)
+    s = LorentzianSpectrum(alpha=0.1, lam=lam, detuning=-0.5)
     t = np.linspace(0.0, 20.0, 401)[1:]
-    for omega in (99.5, 100.5):
+    for omega in (-0.5, 0.5):
         R, origin, f = _folded_tail_integrand(s, omega)
         got = numerics.fourier_sine_tail(f, R, origin, t, rel_tol=1e-10, abs_tol=1e-12 * s.alpha)
         for u, value in zip(t.tolist(), got.tolist()):
@@ -424,8 +426,8 @@ def test_fourier_tail_memory_does_not_grow_with_the_batch():
     # times go in blocks of _TAIL_ROWS, so 40 blocks peak no higher than 10,
     # past the 8 bytes a time of the result (the whole batch at once would
     # take about 0.3 MB a block)
-    s = LorentzianSpectrum(alpha=0.1, lam=0.1, omega1=99.5)
-    R, origin, f = _folded_tail_integrand(s, 100.5)
+    s = LorentzianSpectrum(alpha=0.1, lam=0.1, detuning=-0.5)
+    R, origin, f = _folded_tail_integrand(s, 0.5)
     sizes, peaks = (10 * numerics._TAIL_ROWS, 40 * numerics._TAIL_ROWS), []
     for n in sizes:
         t = np.linspace(0.01, 20.0, n)
