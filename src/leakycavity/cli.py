@@ -270,9 +270,12 @@ def cmd_sweep(args, cfg):
     period = np.pi / sys_params.Omega
     rows = []
     for lam in np.linspace(args.lo, args.hi, args.steps):
-        # asymptotic_rate_ratio rejects an omega1 off the lower channel
         s = replace(cfg.spectrum(), lam=float(lam))
-        ratio = asymptotic_rate_ratio(s, sys_params)
+        try:
+            ratio = asymptotic_rate_ratio(s, sys_params)
+        except ValueError as exc:  # an omega1 off the lower channel
+            raise ConfigError(f"{exc}; leave reservoir.omega1 unset to put the "
+                              "peak on the lower channel exactly") from None
         traj = evolve_analytic(sys_params, s, ts)
         # P_atom_e less its Rabi term, the coherence; detect_plateau reads
         # a NaN series as "no plateau", so check first

@@ -228,7 +228,8 @@ def evolve_tcl_ode(sys, s, t_grid, rate=rate_closed_form):
     channels = sys.channels[:, None]
 
     def generator(times):
-        g_m, g_p = (np.broadcast_to(g, times.shape)[:, None, None]
+        # times 1.0 keeps each rate's bits, and broadcasts a scalar pair
+        g_m, g_p = ((g * np.ones(times.shape))[:, None, None]
                     for g in rate(s, channels, times))
         return G0 + g_m * G_m + g_p * G_p
 

@@ -2,8 +2,9 @@
 
 A Fourier-sine tail integral over many frequencies at once (Gauss
 panels and an accelerated sum over half-periods), a composite
-Gauss-Legendre rule on [0, b] handed out in bounded blocks for smooth
-oscillatory windows, and an adaptive DOP853 propagator for y' = A(t) y
+Gauss-Legendre rule on [0, b] whose nodes are each panel's left edge
+plus offsets shared by every panel, handed out in bounded blocks for
+smooth oscillatory windows, and an adaptive DOP853 propagator for y' = A(t) y
 with dense output, ported to numpy from Hairer, Norsett & Wanner's
 method with the step controller of scipy.integrate.DOP853.
 All functions are pure; there is no shared mutable state.  The
@@ -161,17 +162,20 @@ def _gauss_rule():
 
 
 def panel_gauss_blocks(b, n):
-    """Composite 16-point Gauss-Legendre rule on [0, b], as (nodes, weights) blocks.
+    """Composite 16-point Gauss-Legendre rule on [0, b], as (offsets, blocks).
 
-    [0, b] is split into n uniform panels, handed out in increasing x as
-    blocks of _PANEL_BLOCK nodes (the last may hold fewer), so memory
-    stays bounded however fine the split; the integral of f is the sum
-    over blocks of f(nodes) . weights.  The blocks depend on b and n
-    alone.  A count n above _PANEL_BUDGET (inf included) raises
-    QuadratureError here, before any node is built.  Exact to rounding
-    for polynomials of degree <= 31 on a single panel; for smooth
-    oscillatory integrands choose n so a panel is below half the
-    oscillation period.
+    [0, b] is split into n uniform panels of width 2h, h = b/(2n).  Node j
+    of panel p is e_p + u_j: e_p = 2ph is the panel's left edge, and the
+    Gauss offset u_j = h (1 + xi_j), the 16 ``offsets``, is the same in
+    every panel, as is the weight h w_j.  ``blocks`` hands out the panels
+    in increasing x as (edges, nodes, weights), each block at most
+    _PANEL_BLOCK // 16 panels, with nodes and weights of shape (panels,
+    16), so memory stays bounded however fine the split; the integral of
+    f is the sum over blocks of f(nodes) . weights.  The layout depends on
+    b and n alone.  A count n above _PANEL_BUDGET (inf included) raises
+    QuadratureError here, before any node is built.  Exact to rounding for
+    polynomials of degree <= 31 on a single panel; for smooth oscillatory
+    integrands choose n so a panel is below half the oscillation period.
     """
     if not b > 0.0:
         raise ValueError(f"need b > 0, got {b}")
@@ -181,21 +185,19 @@ def panel_gauss_blocks(b, n):
         raise QuadratureError(
             f"panel quadrature needs {n:.3g} panels, above the budget of {_PANEL_BUDGET}",
             estimate=np.nan, error_bound=np.inf)
-    return _panel_blocks(b, int(n))
+    n = int(n)
+    xi, w = _gauss_rule()
+    h = 0.5 * b / n
+    offsets = h * (1.0 + xi)
+    return offsets, _panel_blocks(2.0 * h, offsets, h * w, n)
 
 
-def _panel_blocks(b, n):
-    x, w = _gauss_rule()
-    step = b / n
-    per = _PANEL_BLOCK // x.size
+def _panel_blocks(width, offsets, weight, n):
+    per = _PANEL_BLOCK // offsets.size
     for i in range(0, n, per):
-        # the edges np.linspace(0, b, n + 1) would give, one block at a time
-        edges = np.arange(i, min(i + per, n) + 1) * step
-        if i + per >= n:
-            edges[-1] = b
-        mid = 0.5 * (edges[1:, None] + edges[:-1, None])
-        half = 0.5 * (edges[1:, None] - edges[:-1, None])
-        yield (mid + half * x).ravel(), (half * w).ravel()
+        edges = np.arange(i, min(i + per, n)) * width
+        nodes = edges[:, None] + offsets
+        yield edges, nodes, np.broadcast_to(weight, nodes.shape)
 
 
 _ODE_RTOL = 1e-10           # DOP853 local error control, relative

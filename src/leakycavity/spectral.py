@@ -115,7 +115,7 @@ def stationary_rate(s, omega):
 
 
 _WINDOW_HALFWIDTHS = 200  # K in the oracle docstring
-_WINDOW_ROWS = 16         # times per kernel block of 16 x _PANEL_BLOCK entries
+_WINDOW_ROWS = 16         # times per kernel block of _PANEL_BLOCK nodes
 
 
 def rate_quadrature_oracle(s, omega, t):
@@ -139,9 +139,13 @@ def rate_quadrature_oracle(s, omega, t):
     oracle, not a fast path.
     Broadcasts over omega and t like rate_closed_form.  The window [0, R]
     does not depend on t: per distinct omega, every time with the same
-    panel count shares one panel set and its folded spectral weight, and
-    the window is a sum of sin(t x) against that weight, in blocks of 16
-    times by _PANEL_BLOCK nodes.  The tail takes a channel's times at
+    panel count shares one panel set and its folded spectral weight W.  A
+    node is x = e + u, a panel's left edge e plus a Gauss offset u shared
+    by every panel (numerics.panel_gauss_blocks), so by angle addition the
+    window is sum_j [cos(t u_j) U_j + sin(t u_j) V_j] with U_j = sum_p
+    sin(t e_p) W_pj and V_j = sum_p cos(t e_p) W_pj: two sines per time
+    and panel, not one per time and node, in blocks of 16 times by
+    _PANEL_BLOCK nodes.  The tail takes a channel's times at
     once, in blocks of numerics._TAIL_ROWS.  A point's value does not
     depend on the rest of the batch.  The panel
     count, handed to panel_gauss_blocks, grows like t, and past its budget
@@ -180,15 +184,21 @@ def _oracle_channel(s, omega, t):
     with np.errstate(over="ignore"):
         count = np.ceil(R / np.minimum(s.lam / 2.0, 0.5 * np.pi / t[rows]))
     # every budget is checked before any node is built
-    groups = [(rows[count == n], panel_gauss_blocks(R, n)) for n in np.unique(count)]
-    for group, blocks in groups:
-        for x, w in blocks:
-            weight = folded(x) * w
+    groups = [(rows[count == n], *panel_gauss_blocks(R, n)) for n in np.unique(count)]
+    for group, offsets, blocks in groups:
+        for edges, x, w in blocks:
+            # (offsets, panels), so that the sums over panels run along rows
+            weight = (folded(x) * w).T.copy()
             for i in range(0, group.size, _WINDOW_ROWS):
                 r = group[i:i + _WINDOW_ROWS]
-                # a row-wise sum whose bits do not depend on how many rows
-                # there are, as a BLAS matrix-vector product's do
-                out[r] += np.einsum("ij,j->i", np.sin(np.multiply.outer(t[r], x)), weight)
+                # sin(t x) = sin(t e) cos(t u) + cos(t e) sin(t u) at x = e + u;
+                # row-wise sums whose bits do not depend on how many rows
+                # there are, as a BLAS matrix product's do
+                te, tu = np.multiply.outer(t[r], edges), np.multiply.outer(t[r], offsets)
+                U = np.einsum("ip,jp->ij", np.sin(te), weight)
+                V = np.einsum("ip,jp->ij", np.cos(te), weight)
+                out[r] += (np.einsum("ij,ij->i", np.cos(tu), U)
+                           + np.einsum("ij,ij->i", np.sin(tu), V))
 
     # 1e-12 * alpha underflows to 0 for a subnormal alpha, which would ask
     # the tail for the relative accuracy of rounding noise

@@ -627,7 +627,8 @@ def test_sweep_rejects_a_peak_off_the_lower_channel_at_any_omega0(omega0, omega1
          "--from", "0.1", "--to", "0.1", "--steps", "1"], capsys)
     assert code == 2 and out == ""
     assert err == ("error: config: asymptotic_rate_ratio assumes the spectrum peaks on "
-                   "the lower dressed channel (omega1 - omega0 = -Omega), got 4.5\n")
+                   "the lower dressed channel (omega1 - omega0 = -Omega), got 4.5; leave "
+                   "reservoir.omega1 unset to put the peak on the lower channel exactly\n")
 
 
 # ---------------------------------------------------------------- exit codes

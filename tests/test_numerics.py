@@ -43,7 +43,8 @@ def test_quadrature_nonconvergence_carries_estimate():
 
 
 def integrate(f, b, n):
-    return sum(float(np.dot(f(x), w)) for x, w in panel_gauss_blocks(b, n))
+    _, blocks = panel_gauss_blocks(b, n)
+    return sum(float(np.sum(f(x) * w)) for _, x, w in blocks)
 
 
 def test_panel_gauss_polynomial_exactness():
@@ -57,9 +58,13 @@ def test_panel_gauss_evaluates_in_bounded_blocks():
     # and the blocks tile [0, n] in order
     per = numerics._PANEL_BLOCK // 16
     n = 3 * per + 5
-    blocks = list(panel_gauss_blocks(float(n), n))
-    assert [x.size for x, _ in blocks] == [numerics._PANEL_BLOCK] * 3 + [16 * 5]
-    nodes = np.concatenate([x for x, _ in blocks])
+    offsets, blocks = panel_gauss_blocks(float(n), n)
+    blocks = list(blocks)
+    assert [x.size for _, x, _ in blocks] == [numerics._PANEL_BLOCK] * 3 + [16 * 5]
+    # node j of panel p is its left edge plus the offset shared by every panel
+    for edges, x, _ in blocks:
+        np.testing.assert_array_equal(x, edges[:, None] + offsets)
+    nodes = np.concatenate([x.ravel() for _, x, _ in blocks])
     assert np.all(np.diff(nodes) > 0.0) and 0.0 < nodes[0] and nodes[-1] < n
     assert abs(integrate(np.cos, float(n), n) - np.sin(n)) < 1e-10
 

@@ -286,6 +286,27 @@ def test_oracle_point_does_not_depend_on_the_batch(log_lam, offset, below, above
     np.testing.assert_array_equal(got, want)
 
 
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(log_lam=st.floats(-2.0, 0.0), offset=st.floats(-3.0, 3.0),
+       below=st.floats(0.1, 0.9), above=st.floats(1.5, 3.0))
+def test_oracle_window_matches_the_per_node_kernel(log_lam, offset, below, above):
+    # the window by angle addition against sum sin(t x) f(x) w node by node,
+    # on the same ceil(R / min(lam/2, pi/(2t))) panels: one time below pi/lam,
+    # where the count is fixed, and one above, where it grows like t; both
+    # sides add the same tail
+    lam = 10.0**log_lam
+    s = LorentzianSpectrum(alpha=0.1, lam=lam, detuning=5.0)
+    omega = s.detuning + offset
+    R, origin, f = _folded_tail_integrand(s, omega)
+    t = np.array([below, above]) * np.pi / lam
+    want = numerics.fourier_sine_tail(f, R, origin, t, rel_tol=1e-10, abs_tol=1e-12 * s.alpha)
+    for k, u in enumerate(t.tolist()):
+        _, blocks = numerics.panel_gauss_blocks(R, np.ceil(R / min(lam / 2.0, 0.5 * np.pi / u)))
+        want[k] += sum(np.sum(np.sin(u * x) * f(x) * w) for _, x, w in blocks)
+    got = rate_quadrature_oracle(s, omega, t)
+    assert np.max(np.abs(got - want)) <= 1e-13 * s.alpha, (got, want)
+
+
 def closed_forms_50_digits(s, omega, t):
     """(gamma, I) in 50-digit arithmetic, from the float parameters taken exactly.
 
