@@ -1002,6 +1002,31 @@ def test_quadrature_runs_without_scipy(argv):
     assert len(proc.stdout.splitlines()) == 12
 
 
+def test_separate_runs_and_stdout_give_the_same_bytes(tmp_path):
+    # the benchmark's oracle shape in two processes, whose angle-addition sums
+    # must not differ from run to run, and a table of more than one write
+    # block piped to stdout and written to output.path; the four run at once
+    n = 2 * cli._BLOCK_ROWS + 1
+    oracle = ["rates", "--config", os.devnull, "--set", "rates.mode=quadrature",
+              "--set", "reservoir.lambda=0.1", "--set", "evolve.t_max=20",
+              "--set", "evolve.n_output=401"]
+    table = ["evolve", "--config", os.devnull, "--set", f"evolve.n_output={n}"]
+    written = tmp_path / "written.csv"
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", "from leakycavity.cli import console_main; console_main()",
+         *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+        for argv in (oracle, oracle, table, table + ["--set", f"output.path={written}"])]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0, 0, 0]
+    assert [err for _, err in outs] == [b"", b"", b"", b""]
+    first, second, piped, to_file = (out for out, _ in outs)
+    assert first == second
+    rows = first.decode().splitlines()
+    assert len(rows) == 402 and {len(row.split(",")) for row in rows} == {5}
+    assert to_file == b"" and piped == written.read_bytes()
+    assert piped.count(b"\n") == n + 1
+
+
 # The reader either takes 10 bytes of the ~126 kB figure-3 table, more than a
 # pipe buffer holds, and leaves, or is gone before a 50-row table is written,
 # which a buffered stdout would otherwise still hold at interpreter exit.

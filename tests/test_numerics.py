@@ -244,15 +244,9 @@ def test_ode_solve_steps_as_scipys_dop853(problem):
         assert got_fail is None and got.dtype == want.dtype
         assert np.max(np.abs(got - want)) <= 1e-12
     else:
-        # y = 1 / (1 - t) blows up at t = 1: both stop there on step underflow
+        # y = 1 / (1 - t) blows up at t = 1: both stop there on step underflow,
+        # ode_solve by OdeSolveError with its last_t
         assert got is None and abs(got_fail - want_fail) <= 1e-12
-
-
-def test_ode_step_failure_reports_last_time():
-    # y' = y / (1 - t) from y(0)=1 blows up at t=1
-    with pytest.raises(OdeSolveError) as err:
-        ode_solve(_blow_up, np.array([1.0]), np.array([0.0, 2.0]))
-    assert 0.5 < err.value.last_t <= 1.05
 
 
 NAN_START_SCRIPT = """\

@@ -363,6 +363,9 @@ def test_closed_forms_properties_across_the_decades(alpha, lam, ratio, sign, siz
     _assert_closed_forms_match_50_digits(s, omega, t, rel=1e-12)
     assert rate_closed_form(s, omega, 0.0) == 0.0
     assert accumulated_rate(s, omega, 0.0) == 0.0
+    # I = int dw J(w) 2 (1 - cos((omega - w) t)) / (omega - w)^2: J >= 0 against
+    # a Fejer kernel, so I >= 0
+    assert accumulated_rate(s, omega, t) >= 0.0
     # dI/dt = gamma by a central difference: against alpha lam t / (1 + |w|),
     # the size of gamma, its truncation error (h |w| / t)^2 / 6 is below 2e-7
     h = 1e-3 * t / (1.0 + size)
