@@ -83,6 +83,8 @@ class RunConfig:
             raise ConfigError(f"evolve.n_output must be >= 2, got {self.n_output}")
         if self.precision < 1:
             raise ConfigError(f"output.precision must be >= 1, got {self.precision}")
+        if self.precision > 767:  # a float64's longest exact expansion; %g prints no more
+            raise ConfigError(f"output.precision must be <= 767, got {self.precision}")
         if self.solver_mode not in ("analytic", "tcl-ode", "phenomenological"):
             raise ConfigError(f"unknown solver.mode {self.solver_mode!r}")
         if self.rates_mode not in ("closed-form", "quadrature"):
@@ -134,7 +136,7 @@ def _parse_pair(key, value):
 
 def _read_config_file(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None

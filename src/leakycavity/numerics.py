@@ -4,9 +4,9 @@ A Fourier-sine tail integral over many frequencies at once (Gauss
 panels and an accelerated sum over half-periods), a composite
 Gauss-Legendre rule on [0, b] whose nodes are each panel's left edge
 plus offsets shared by every panel, handed out in bounded blocks for
-smooth oscillatory windows, and an adaptive DOP853 propagator for y' = A(t) y
-with dense output, ported to numpy from Hairer, Norsett & Wanner's
-method with the step controller of scipy.integrate.DOP853.
+smooth oscillatory windows, and ode_solve, one loop that steps y' = A(t) y
+by Dormand & Prince's DOP853, ported to numpy from Hairer, Norsett &
+Wanner, and fills its output grid from each step's dense output.
 All functions are pure; there is no shared mutable state.  The
 propagator's tableau, tolerances and call budget are constants of this
 module, as are the tail's rules; the quadratures' tolerances are
@@ -287,32 +287,55 @@ def _initial_step(stages, t, y, f, t_bound):
     return min(100 * h0, h1, span)
 
 
-def _dop853_steps(stages, t, y, t_bound):
-    """Yield (t_old, t, interpolant) for each accepted DOP853 step of y' = A(t) y.
+def ode_solve(generator, state0, t_grid):
+    """Propagate state0 along t_grid under y' = A(t) y with the adaptive DOP853 method.
 
-    ``stages(ts)`` stacks A at the times ts: an attempt asks for its 12
+    ``generator(ts)`` returns A, real or complex, at every time of the 1-D
+    array ts as a (len(ts), n, n) stack.  A step attempt asks for its 12
     stage times at once, the last giving f at the new state.  Step control
-    and dense output are ``scipy.integrate.DOP853``'s: the E5/E3 error
-    norm, safety factor 0.9, step factors within [0.2, 10], a step clamped
-    to t_bound.  ``interpolant(ts)`` returns the states at the times ts in
-    [t_old, t] as rows from 3 extra stage times asked for at once, and
-    holds only until the next step is drawn.  Raises OdeSolveError on a
-    non-finite derivative at the start and once the step is under 10 ulps of t.
+    is ``scipy.integrate.DOP853``'s: the E5/E3 error norm against _ODE_RTOL
+    and _ODE_ATOL (relative 1e-10, absolute 1e-12), safety factor 0.9, step
+    factors within [0.2, 10], the last step clamped to t_grid[-1]; no other
+    step depends on the grid.  An accepted step fills the grid points it
+    covers from its seventh-degree interpolant, asking for 3 more stage
+    times at once.  Returns an array of shape (len(t_grid), len(state0)).
+    Raises OdeSolveError, carrying the last good time, on a non-finite
+    derivative at t_grid[0], once the step is under 10 ulps of t, or, after
+    a step that leaves the grid unfilled, once _ODE_MAX_NFEV stage times are
+    spent or 1% of them has covered under 1% of the span.
     """
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1 or ts.size < 1:
+        raise ValueError("t_grid must be a nonempty 1-D array")
+    if np.any(np.diff(ts) <= 0.0):
+        raise ValueError("t_grid must be strictly increasing")
+    y = np.atleast_1d(np.asarray(state0, dtype=complex if np.iscomplexobj(state0) else float))
+    out = np.empty((ts.size, y.size), dtype=y.dtype)
+    out[0] = y
+    if ts.size == 1 or y.size == 0:  # nothing to step
+        return out
+    nfev = 0
+
+    def stages(times):
+        nonlocal nfev
+        nfev += times.size
+        return np.asarray(generator(times), dtype=out.dtype)
+
+    t, t_end, filled = ts[0], ts[-1], 1
     f = stages(np.array([t]))[0] @ y
     # a NaN derivative makes a NaN first step, which no underflow test catches:
     # it would be rejected forever
     if not np.all(np.isfinite(f)):
         raise OdeSolveError(f"non-finite derivative at t={t:g}", last_t=t)
-    h_abs = _initial_step(stages, t, y, f, t_bound)
+    h_abs = _initial_step(stages, t, y, f, t_end)
     K = np.empty((16, y.size), dtype=y.dtype)
-    while t < t_bound:
+    while True:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
             if h_abs < min_step:
                 raise OdeSolveError("step size underflow", last_t=t)
-            t_new = min(t + h_abs, t_bound)
+            t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = np.abs(h)
             K[0] = f
@@ -333,67 +356,27 @@ def _dop853_steps(stages, t, y, t_bound):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
-        t_old, y_old, f_old = t, y, f
-        t, y, f = t_new, y_new, f_new
-
-        def interpolant(ts):
-            for s, A_s in enumerate(stages(t_old + _C[13:16] * h), 13):
-                K[s] = A_s @ (y_old + np.dot(K[:s].T, _A[s, :s]) * h)
-            dy = y - y_old
-            F = [dy, h * f_old - dy, 2 * dy - h * (f + f_old), *(h * np.dot(_D, K))]
-            x = ((ts - t_old) / h)[:, None]
-            out = np.zeros((x.size, y.size), dtype=y.dtype)
+        # the grid points in (t, t_new], from one dense output of this step
+        end = np.searchsorted(ts, t_new, side="right")
+        if end > filled:
+            for s, A_s in enumerate(stages(t + _C[13:16] * h), 13):
+                K[s] = A_s @ (y + np.dot(K[:s].T, _A[s, :s]) * h)
+            dy = y_new - y
+            F = [dy, h * f - dy, 2 * dy - h * (f_new + f), *(h * np.dot(_D, K))]
+            x = ((ts[filled:end] - t) / h)[:, None]
+            dense = out[filled:end]
+            dense[:] = 0
             for i, c in enumerate(reversed(F)):
-                out += c
-                out *= x if i % 2 == 0 else 1 - x
-            return out + y_old
-
-        yield t_old, t, interpolant
-
-
-def ode_solve(generator, state0, t_grid):
-    """Propagate state0 along t_grid under y' = A(t) y with the adaptive DOP853 method.
-
-    ``generator(ts)`` returns A, real or complex, at every time of the 1-D
-    array ts as a (len(ts), n, n) stack, asked for a step's stage times at
-    once.  Local error is controlled by _ODE_RTOL / _ODE_ATOL (relative
-    1e-10, absolute 1e-12); interior steps do not depend on the output grid,
-    filled from dense output.  The integrator is _dop853_steps, Dormand and
-    Prince's eighth-order pair with its seventh-degree interpolant.  Returns
-    an array of shape (len(t_grid), len(state0)).  Raises OdeSolveError,
-    carrying the last good time, on a non-finite derivative at t_grid[0], on
-    step failure, after _ODE_MAX_NFEV right-hand-side evaluations (stage times),
-    or once 1% of that budget has covered under 1% of the span, a pace that would exhaust it.
-    """
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 1:
-        raise ValueError("t_grid must be a nonempty 1-D array")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("t_grid must be strictly increasing")
-    y0 = np.atleast_1d(np.asarray(state0, dtype=complex if np.iscomplexobj(state0) else float))
-    out = np.empty((ts.size, y0.size), dtype=y0.dtype)
-    out[0] = y0
-    if ts.size == 1 or y0.size == 0:  # nothing to step
-        return out
-    nfev = 0
-
-    def stages(times):
-        nonlocal nfev
-        nfev += times.size
-        return np.asarray(generator(times), dtype=y0.dtype)
-
-    # the last step is clamped to ts[-1], so it fills the grid and ends the loop
-    for t_old, t, interpolant in _dop853_steps(stages, ts[0], y0, ts[-1]):
-        # the grid points in (t_old, t], from one call of this step's interpolant
-        start, end = np.searchsorted(ts, (t_old, t), side="right")
-        if end > start:
-            out[start:end] = interpolant(ts[start:end])
-        if end == ts.size:
-            break
+                dense += c
+                dense *= x if i % 2 == 0 else 1 - x
+            dense += y
+            filled = end
+        t, y, f = t_new, y_new, f_new
+        if filled == ts.size:
+            return out
         if nfev >= _ODE_MAX_NFEV:
             raise OdeSolveError(f"budget of {_ODE_MAX_NFEV} RHS calls exhausted", last_t=t)
-        if nfev >= _ODE_MAX_NFEV // 100 and t - ts[0] < 0.01 * (ts[-1] - ts[0]):
+        if nfev >= _ODE_MAX_NFEV // 100 and t - ts[0] < 0.01 * (t_end - ts[0]):
             raise OdeSolveError(f"budget of {_ODE_MAX_NFEV} RHS calls would run out: "
                                 f"{nfev} calls reached t={t:g}, under 1% of "
-                                f"the span to t={ts[-1]:g}", last_t=t)
-    return out
+                                f"the span to t={t_end:g}", last_t=t)

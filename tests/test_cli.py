@@ -70,6 +70,15 @@ def test_config_file_with_comments(tmp_path):
     assert cfg.solver_mode == "analytic"
 
 
+def test_config_file_with_byte_order_mark_and_crlf_lines(tmp_path, capsys):
+    text = "reservoir.lambda = 0.2\nevolve.t_max = 5\nevolve.n_output = 6\n"
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+    code, want, err = run_cli(["rates", "--config", write_config(tmp_path, text)], capsys)
+    assert code == 0 and err == "" and want.count("\n") == 7
+    assert run_cli(["rates", "--config", str(bom)], capsys) == (0, want, "")
+
+
 def test_set_overrides_config_file(tmp_path):
     path = write_config(tmp_path, CASE_B)
     cfg = load_config(path, ["evolve.t_max=10", "reservoir.alpha=0.2"])
@@ -761,6 +770,10 @@ def test_nonfinite_input_or_output_is_one_error_line(tmp_path, capsys, override,
     (["output.precision=0"], "output.precision must be >= 1, got 0"),
     (["solver.mode=phenomenological", "solver.kappa=-0.1"],
      "solver.kappa must be nonnegative, got -0.1"),
+    # %.767g prints any float64 in full, so more digits print the same
+    # string; 2**31 is past what %-formatting takes at all
+    (["output.precision=768"], "output.precision must be <= 767, got 768"),
+    (["output.precision=2147483648"], "output.precision must be <= 767, got 2147483648"),
 ])
 def test_out_of_range_value_is_one_config_error_line(capsys, settings, message):
     argv = ["evolve", "--config", os.devnull]

@@ -137,34 +137,48 @@ def test_ode_dense_output_fills_grid():
     assert ode_solve(generator, np.array([]), np.array([0.0, 1.0])).shape == (2, 0)
 
 
-def test_ode_fills_each_grid_point_once_from_the_step_that_covers_it(monkeypatch):
-    ends, filled = [], []
-    steps = numerics._dop853_steps
-
-    def recording(*args):
-        for t_old, t_new, interpolant in steps(*args):
-            ends.append(t_new)
-
-            def recorded(t, t_old=t_old, t_new=t_new, interpolant=interpolant):
-                assert np.all((t_old <= t) & (t <= t_new))
-                filled.append(t)
-                return interpolant(t)
-            yield t_old, t_new, recorded
-
-    monkeypatch.setattr(numerics, "_dop853_steps", recording)
+def test_ode_fills_each_grid_point_once_from_the_step_that_covers_it():
     generator = _driven(np.cos)
 
-    # the steps do not depend on the output grid, so a first run finds an
-    # interior step end for the second, much finer grid to contain
-    ode_solve(generator, np.array([0.0, 1.0]), np.array([0.0, 10.0]))
-    t_end = ends[len(ends) // 2]
+    def run(ts):
+        calls = []
+
+        def recording(times):
+            calls.append(times.copy())
+            return generator(times)
+        return ode_solve(recording, np.array([0.0, 1.0]), ts), calls
+
+    # a step attempt asks for 12 stage times, the last being its end; the
+    # steps do not depend on the output grid, so a first run finds an interior
+    # step end for the second, much finer grid to contain
+    _, coarse = run(np.array([0.0, 10.0]))
+    attempts = [times for times in coarse if times.size == 12]
+    mid = len(attempts) // 2
+    t_end = attempts[mid][-1]
+    assert attempts[mid + 1][0] > t_end  # the attempt was accepted
     ts = np.union1d(np.linspace(0.0, 10.0, 10001), [t_end])
-    ends.clear()
-    filled.clear()
-    out = ode_solve(generator, np.array([0.0, 1.0]), ts)
-    assert np.array_equal(np.concatenate(filled), ts[1:])
-    assert len(filled) <= len(ends) and any(t[-1] == t_end for t in filled)
+    out, fine = run(ts)
+    assert np.array_equal([times for times in fine if times.size == 12], attempts)
+    # the dense output asks for 3 stage times inside the step just drawn,
+    # once per accepted step (each covers grid points here), not once per
+    # grid point; an attempt is accepted when the next starts past its end
+    dense = [(before, times) for before, times in zip(fine, fine[1:]) if times.size == 3]
+    assert len(dense) == 1 + sum(b[0] > a[-1] for a, b in zip(attempts, attempts[1:]))
+    for before, times in dense:
+        assert before.size == 12 and before.min() <= times.min() and times.max() <= before.max()
     assert np.max(np.abs(out[:, 0] - np.sin(ts))) < 1e-9
+
+
+def test_ode_budget_is_checked_only_after_the_grid_is_full(monkeypatch):
+    # the final step of a run that takes N stage times crosses a budget of
+    # N - 1, yet the grid is full by then, so the run returns it; the first
+    # step, near 0.01, covers 1% of the span, so the pace rule stays quiet
+    calls = []
+    generator = _driven(np.cos, calls)
+    ts = np.linspace(0.0, 0.5, 11)
+    want = ode_solve(generator, np.array([0.0, 1.0]), ts)
+    monkeypatch.setattr(numerics, "_ODE_MAX_NFEV", len(calls) - 1)
+    assert np.array_equal(ode_solve(generator, np.array([0.0, 1.0]), ts), want)
 
 
 def test_dop853_tableau_is_scipys():
