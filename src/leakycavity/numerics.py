@@ -1,16 +1,14 @@
 """Integration utilities shared by the rate and dynamics modules.
 
 A Fourier-sine tail integral over many frequencies at once (Gauss
-panels and an accelerated sum over half-periods), a composite
-Gauss-Legendre rule on [0, b] whose nodes are each panel's left edge
-plus offsets shared by every panel, handed out in bounded blocks for
-smooth oscillatory windows, and ode_solve, one loop that steps y' = A(t) y
-by Dormand & Prince's DOP853, ported to numpy from Hairer, Norsett &
-Wanner, and fills its output grid from each step's dense output.
+panels and an accelerated sum over half-periods), and ode_solve, one
+loop that steps y' = A(t) y by Dormand & Prince's DOP853, ported to
+numpy from Hairer, Norsett & Wanner, and fills its output grid from each
+step's dense output.
 All functions are pure; there is no shared mutable state.  The
 propagator's tableau, tolerances and call budget are constants of this
-module, as are the tail's rules; the quadratures' tolerances are
-arguments, set by each caller.  Everything here is numpy: no route of
+module, as are the tail's rules; the tail's tolerances are arguments,
+set by its caller.  Everything here is numpy: no route of
 the package imports scipy, which the tests use as a reference alone.
 """
 
@@ -22,7 +20,6 @@ __all__ = [
     "QuadratureError",
     "OdeSolveError",
     "fourier_sine_tail",
-    "panel_gauss_blocks",
     "ode_solve",
 ]
 
@@ -150,54 +147,6 @@ def fourier_sine_tail(f, a, origin, freqs, rel_tol, abs_tol):
                 f"above the tolerance {tol[j]:.3e}", estimate=value[j], error_bound=err[j])
         out[i:i + _TAIL_ROWS] = value
     return out
-
-
-_PANEL_BLOCK = 4096     # nodes per block of the rule: 256 panels of 16
-_PANEL_BUDGET = 2**20   # panels per integral; a finer split raises instead
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule():
-    return np.polynomial.legendre.leggauss(16)
-
-
-def panel_gauss_blocks(b, n):
-    """Composite 16-point Gauss-Legendre rule on [0, b], as (offsets, blocks).
-
-    [0, b] is split into n uniform panels of width 2h, h = b/(2n).  Node j
-    of panel p is e_p + u_j: e_p = 2ph is the panel's left edge, and the
-    Gauss offset u_j = h (1 + xi_j), the 16 ``offsets``, is the same in
-    every panel, as is the weight h w_j.  ``blocks`` hands out the panels
-    in increasing x as (edges, nodes, weights), each block at most
-    _PANEL_BLOCK // 16 panels, with nodes and weights of shape (panels,
-    16), so memory stays bounded however fine the split; the integral of
-    f is the sum over blocks of f(nodes) . weights.  The layout depends on
-    b and n alone.  A count n above _PANEL_BUDGET (inf included) raises
-    QuadratureError here, before any node is built.  Exact to rounding for
-    polynomials of degree <= 31 on a single panel; for smooth oscillatory
-    integrands choose n so a panel is below half the oscillation period.
-    """
-    if not b > 0.0:
-        raise ValueError(f"need b > 0, got {b}")
-    if not n >= 1:
-        raise ValueError(f"need at least one panel, got {n}")
-    if not n <= _PANEL_BUDGET:
-        raise QuadratureError(
-            f"panel quadrature needs {n:.3g} panels, above the budget of {_PANEL_BUDGET}",
-            estimate=np.nan, error_bound=np.inf)
-    n = int(n)
-    xi, w = _gauss_rule()
-    h = 0.5 * b / n
-    offsets = h * (1.0 + xi)
-    return offsets, _panel_blocks(2.0 * h, offsets, h * w, n)
-
-
-def _panel_blocks(width, offsets, weight, n):
-    per = _PANEL_BLOCK // offsets.size
-    for i in range(0, n, per):
-        edges = np.arange(i, min(i + per, n)) * width
-        nodes = edges[:, None] + offsets
-        yield edges, nodes, np.broadcast_to(weight, nodes.shape)
 
 
 _ODE_RTOL = 1e-10           # DOP853 local error control, relative

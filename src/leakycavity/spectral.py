@@ -24,10 +24,11 @@ the distance x = |omega' - omega| from the channel frequency.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .numerics import fourier_sine_tail, panel_gauss_blocks
+from .numerics import QuadratureError, fourier_sine_tail
 
 __all__ = [
     "LorentzianSpectrum",
@@ -115,7 +116,14 @@ def stationary_rate(s, omega):
 
 
 _WINDOW_HALFWIDTHS = 200  # K in the oracle docstring
-_WINDOW_ROWS = 16         # times per kernel block of _PANEL_BLOCK nodes
+_WINDOW_ROWS = 16         # times per kernel block of _PANEL_BLOCK panels
+_PANEL_BLOCK = 256        # panels per kernel block: 4096 nodes of the 16-point rule
+_PANEL_BUDGET = 2**20     # panels per window; a finer split raises instead
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule():
+    return np.polynomial.legendre.leggauss(16)
 
 
 def rate_quadrature_oracle(s, omega, t):
@@ -139,18 +147,20 @@ def rate_quadrature_oracle(s, omega, t):
     oracle, not a fast path.
     Broadcasts over omega and t like rate_closed_form.  The window [0, R]
     does not depend on t: per distinct omega, every time with the same
-    panel count shares one panel set and its folded spectral weight W.  A
-    node is x = e + u, a panel's left edge e plus a Gauss offset u shared
-    by every panel (numerics.panel_gauss_blocks), so by angle addition the
-    window is sum_j [cos(t u_j) U_j + sin(t u_j) V_j] with U_j = sum_p
-    sin(t e_p) W_pj and V_j = sum_p cos(t e_p) W_pj: two sines per time
-    and panel, not one per time and node, in blocks of 16 times by
-    _PANEL_BLOCK nodes.  The tail takes a channel's times at
-    once, in blocks of numerics._TAIL_ROWS.  A point's value does not
-    depend on the rest of the batch.  The panel
-    count, handed to panel_gauss_blocks, grows like t, and past its budget
-    (t above about 2.4e4 at lam = 1/3) the oracle raises QuadratureError
-    before evaluating that omega's window.
+    panel count n shares one panel set and its folded spectral weight W.
+    The n panels are 2h wide, h = R/(2n), and node j of panel p is
+    x = e_p + u_j: the panel's left edge e_p = 2ph plus the Gauss offset
+    u_j = h (1 + xi_j) of the 16-point rule, the same in every panel, as
+    is its weight h w_j.  By angle addition the window is then
+    sum_j [cos(t u_j) U_j + sin(t u_j) V_j] with U_j = sum_p sin(t e_p)
+    W_pj and V_j = sum_p cos(t e_p) W_pj: two sines per time and panel,
+    not one per time and node, in blocks of 16 times by _PANEL_BLOCK
+    panels, so memory stays bounded however fine the split.  The tail
+    takes a channel's times at once, in blocks of numerics._TAIL_ROWS.  A
+    point's value does not depend on the rest of the batch.  The panel
+    count grows like t, and past _PANEL_BUDGET (t above about 2.4e4 at
+    lam = 1/3) the oracle raises QuadratureError, checking every count of
+    a channel before it evaluates any of that omega's window.
     """
     _check_nonnegative_time(t)
     omega, t = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(t, dtype=float))
@@ -183,12 +193,24 @@ def _oracle_channel(s, omega, t):
     # maximum; an infinite count fails the budget check below
     with np.errstate(over="ignore"):
         count = np.ceil(R / np.minimum(s.lam / 2.0, 0.5 * np.pi / t[rows]))
+    # the inverse makes np.unique sort, where the plain call imports numpy.ma
+    counts, which = np.unique(count, return_inverse=True)
     # every budget is checked before any node is built
-    groups = [(rows[count == n], *panel_gauss_blocks(R, n)) for n in np.unique(count)]
-    for group, offsets, blocks in groups:
-        for edges, x, w in blocks:
+    for n in counts:
+        if not n <= _PANEL_BUDGET:
+            raise QuadratureError(
+                f"panel quadrature needs {n:.3g} panels, above the budget of {_PANEL_BUDGET}",
+                estimate=np.nan, error_bound=np.inf)
+    xi, w = _gauss_rule()
+    for k, n in enumerate(counts.astype(int).tolist()):
+        group = rows[which == k]
+        h = 0.5 * R / n
+        offsets = h * (1.0 + xi)
+        for p in range(0, n, _PANEL_BLOCK):
+            edges = np.arange(p, min(p + _PANEL_BLOCK, n)) * (2.0 * h)
+            x = edges[:, None] + offsets
             # (offsets, panels), so that the sums over panels run along rows
-            weight = (folded(x) * w).T.copy()
+            weight = (folded(x) * (h * w)).T.copy()
             for i in range(0, group.size, _WINDOW_ROWS):
                 r = group[i:i + _WINDOW_ROWS]
                 # sin(t x) = sin(t e) cos(t u) + cos(t e) sin(t u) at x = e + u;

@@ -1002,10 +1002,15 @@ def test_analytic_commands_never_import_scipy(tmp_path):
      "--set", "evolve.t_max=1"],
 ], ids=["oracle", "tcl-ode-on-oracle-rates"])
 def test_quadrature_runs_without_scipy(argv):
-    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError;
+    # numpy.ma, which a plain np.unique imports, is checked against what
+    # numpy's own import loaded, as an older numpy may load it eagerly
     script = ("import sys; sys.modules['scipy'] = None\n"
+              "import numpy; eager = 'numpy.ma' in sys.modules\n"
               "from leakycavity.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))")
+              "code = main(sys.argv[1:])\n"
+              "assert eager or 'numpy.ma' not in sys.modules, 'the oracle loaded numpy.ma'\n"
+              "sys.exit(code)")
     proc = subprocess.run(
         [sys.executable, "-c", script, argv[0], "--config", os.devnull, *argv[1:],
          "--set", "evolve.n_output=11"],

@@ -8,8 +8,7 @@ import pytest
 
 from leakycavity import dynamics, numerics
 from leakycavity.numerics import (OdeSolveError, QuadratureError,
-                                  fourier_sine_tail, ode_solve,
-                                  panel_gauss_blocks)
+                                  fourier_sine_tail, ode_solve)
 from reference import reference_case
 
 
@@ -40,54 +39,6 @@ def test_quadrature_nonconvergence_carries_estimate():
         fourier_sine_tail(peak, 0.0, 0.0, [1.0], **tol)
     assert np.isfinite(err.value.estimate)
     assert err.value.error_bound > 0.0
-
-
-def integrate(f, b, n):
-    _, blocks = panel_gauss_blocks(b, n)
-    return sum(float(np.sum(f(x) * w)) for _, x, w in blocks)
-
-
-def test_panel_gauss_polynomial_exactness():
-    # the 16-point rule is exact through degree 31 on each panel
-    got = integrate(lambda t: t**7, 2.0, n=1)
-    assert abs(got - 2.0**8 / 8.0) < 1e-12
-
-
-def test_panel_gauss_evaluates_in_bounded_blocks():
-    # more panels than one block: no block holds more than _PANEL_BLOCK nodes,
-    # and the blocks tile [0, n] in order
-    per = numerics._PANEL_BLOCK // 16
-    n = 3 * per + 5
-    offsets, blocks = panel_gauss_blocks(float(n), n)
-    blocks = list(blocks)
-    assert [x.size for _, x, _ in blocks] == [numerics._PANEL_BLOCK] * 3 + [16 * 5]
-    # node j of panel p is its left edge plus the offset shared by every panel
-    for edges, x, _ in blocks:
-        np.testing.assert_array_equal(x, edges[:, None] + offsets)
-    nodes = np.concatenate([x.ravel() for _, x, _ in blocks])
-    assert np.all(np.diff(nodes) > 0.0) and 0.0 < nodes[0] and nodes[-1] < n
-    assert abs(integrate(np.cos, float(n), n) - np.sin(n)) < 1e-10
-
-
-@pytest.mark.parametrize("n", [numerics._PANEL_BUDGET + 1, np.inf])
-def test_panel_gauss_over_budget_raises_before_evaluating(n):
-    # the call itself raises, before a single block is built
-    with pytest.raises(QuadratureError, match="budget"):
-        panel_gauss_blocks(1.0, n)
-
-
-def test_panel_gauss_oscillatory():
-    got = integrate(np.sin, 20 * np.pi, n=40)
-    assert abs(got) < 1e-12
-    got = integrate(lambda t: np.cos(10 * t), 1.0, n=10)
-    assert abs(got - np.sin(10.0) / 10.0) < 1e-12
-
-
-def test_panel_gauss_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        panel_gauss_blocks(0.0, 10)
-    with pytest.raises(ValueError):
-        panel_gauss_blocks(1.0, 0)
 
 
 def _constant(A):
