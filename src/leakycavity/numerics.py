@@ -1,15 +1,15 @@
 """Integration utilities shared by the rate and dynamics modules.
 
-A Fourier-sine tail integral over many frequencies at once (Gauss
-panels and an accelerated sum over half-periods), and ode_solve, one
-loop that steps y' = A(t) y by Dormand & Prince's DOP853, ported to
-numpy from Hairer, Norsett & Wanner, and fills its output grid from each
-step's dense output.
+The Gauss-Legendre rule on [0, 1], a Fourier-sine tail integral over
+many frequencies at once (Gauss panels and an accelerated sum over
+half-periods), and ode_solve, one loop that steps y' = A(t) y by Dormand
+& Prince's DOP853, ported to numpy from Hairer, Norsett & Wanner, and
+fills its output grid from each step's dense output.
 All functions are pure; there is no shared mutable state.  The
 propagator's tableau, tolerances and call budget are constants of this
 module, as are the tail's rules; the tail's tolerances are arguments,
-set by its caller.  Everything here is numpy: no route of
-the package imports scipy, which the tests use as a reference alone.
+set by its caller.  Everything here is numpy: no route of the package
+imports scipy, which the tests use as a reference alone.
 """
 
 from functools import lru_cache
@@ -20,6 +20,7 @@ __all__ = [
     "QuadratureError",
     "OdeSolveError",
     "fourier_sine_tail",
+    "gauss_legendre",
     "ode_solve",
 ]
 
@@ -46,17 +47,23 @@ _TAIL_TERMS = 28    # half-periods in its accelerated sum; the error estimate dr
 
 
 @lru_cache(maxsize=None)
-def _tail_rule(n):
+def gauss_legendre(n):
     """The n-point Gauss-Legendre rule on [0, 1], as (nodes, weights).
 
-    numpy's weights, rescaled to sum to 2, are 3e-15 high in the middle at
-    n = 20; 2 (1 - x^2) / (n (P_{n-1}(x) - x P_n(x)))^2 at its nodes is not.
+    numpy's nodes, with weights from Bonnet's recurrence: numpy's own,
+    rescaled to sum to 2, are 3e-15 high in the middle at n = 20;
+    2 (1 - x^2) / (n (P_{n-1}(x) - x P_n(x)))^2 at its nodes is not.
+    Exact to rounding for polynomials of degree <= 2n - 1.  Each n's
+    arrays are built once and shared, so they are read-only.
     """
     x, _ = np.polynomial.legendre.leggauss(n)
     p0, p1 = np.ones(n), x  # P_{k-1}(x), P_k(x) by Bonnet's recurrence
     for k in range(2, n + 1):
         p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return 0.5 * (x + 1.0), (1.0 - x) * (1.0 + x) / (n * (p0 - x * p1)) ** 2
+    rule = 0.5 * (x + 1.0), (1.0 - x) * (1.0 + x) / (n * (p0 - x * p1)) ** 2
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +83,7 @@ def _cvz_weights(n, size):
 def _tail_pieces(f, a, origin, t, nodes):
     """(the tail from a to the first zero of sin(t x) past x0, (-1)^k times
     the integral over each of the next _TAIL_TERMS half-periods) for each t."""
-    xi, w = _tail_rule(nodes)
+    xi, w = gauss_legendre(nodes)
     head, gap = np.zeros(t.size), a - origin
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inv, half = 1.0 / t, np.pi / t  # inf at a subnormal t

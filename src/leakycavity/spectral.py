@@ -24,11 +24,10 @@ the distance x = |omega' - omega| from the channel frequency.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .numerics import QuadratureError, fourier_sine_tail
+from .numerics import QuadratureError, fourier_sine_tail, gauss_legendre
 
 __all__ = [
     "LorentzianSpectrum",
@@ -121,11 +120,6 @@ _PANEL_BLOCK = 256        # panels per kernel block: 4096 nodes of the 16-point 
 _PANEL_BUDGET = 2**20     # panels per window; a finer split raises instead
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule():
-    return np.polynomial.legendre.leggauss(16)
-
-
 def rate_quadrature_oracle(s, omega, t):
     """gamma(omega, t) by direct quadrature of the spectral-density integral.
 
@@ -150,8 +144,9 @@ def rate_quadrature_oracle(s, omega, t):
     panel count n shares one panel set and its folded spectral weight W.
     The n panels are 2h wide, h = R/(2n), and node j of panel p is
     x = e_p + u_j: the panel's left edge e_p = 2ph plus the Gauss offset
-    u_j = h (1 + xi_j) of the 16-point rule, the same in every panel, as
-    is its weight h w_j.  By angle addition the window is then
+    u_j = 2h x_j, with (x_j, w_j) the 16-point Gauss-Legendre rule on
+    [0, 1], the same in every panel, as is its weight 2h w_j.  By angle
+    addition the window is then
     sum_j [cos(t u_j) U_j + sin(t u_j) V_j] with U_j = sum_p sin(t e_p)
     W_pj and V_j = sum_p cos(t e_p) W_pj: two sines per time and panel,
     not one per time and node, in blocks of 16 times by _PANEL_BLOCK
@@ -201,16 +196,16 @@ def _oracle_channel(s, omega, t):
             raise QuadratureError(
                 f"panel quadrature needs {n:.3g} panels, above the budget of {_PANEL_BUDGET}",
                 estimate=np.nan, error_bound=np.inf)
-    xi, w = _gauss_rule()
+    xi, w = gauss_legendre(16)
     for k, n in enumerate(counts.astype(int).tolist()):
         group = rows[which == k]
-        h = 0.5 * R / n
-        offsets = h * (1.0 + xi)
+        width = R / n
+        offsets = width * xi
         for p in range(0, n, _PANEL_BLOCK):
-            edges = np.arange(p, min(p + _PANEL_BLOCK, n)) * (2.0 * h)
+            edges = np.arange(p, min(p + _PANEL_BLOCK, n)) * width
             x = edges[:, None] + offsets
             # (offsets, panels), so that the sums over panels run along rows
-            weight = (folded(x) * (h * w)).T.copy()
+            weight = (folded(x) * (width * w)).T.copy()
             for i in range(0, group.size, _WINDOW_ROWS):
                 r = group[i:i + _WINDOW_ROWS]
                 # sin(t x) = sin(t e) cos(t u) + cos(t e) sin(t u) at x = e + u;

@@ -41,6 +41,13 @@ def test_quadrature_nonconvergence_carries_estimate():
     assert err.value.error_bound > 0.0
 
 
+@pytest.mark.parametrize("n", [16, 20])
+def test_gauss_legendre_integrates_polynomials_exactly(n):
+    # the n-point rule on [0, 1] is exact through degree 2n - 1
+    x, w = numerics.gauss_legendre(n)
+    assert abs(np.dot(w, x ** (2 * n - 1)) - 1.0 / (2 * n)) < 1e-15
+
+
 def _constant(A):
     """The generator of y' = A y: A at every time asked for."""
     A = np.asarray(A)

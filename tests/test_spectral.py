@@ -292,8 +292,8 @@ def test_oracle_point_does_not_depend_on_the_batch(log_lam, offset, below, above
 def test_oracle_window_matches_the_per_node_kernel(log_lam, offset, below, above):
     # the window by angle addition against sum sin(t x) f(x) w node by node,
     # on the documented layout of n = ceil(R / min(lam/2, pi/(2t))) panels 2h
-    # wide, node e_p + h (1 + xi_j) and weight h w_j of the 16-point rule: one
-    # time below pi/lam, where the count is fixed, and one above, where it
+    # wide, node e_p + 2h x_j and weight 2h w_j of the 16-point rule on [0, 1]:
+    # one time below pi/lam, where the count is fixed, and one above, where it
     # grows like t; both sides add the same tail
     lam = 10.0**log_lam
     s = LorentzianSpectrum(alpha=0.1, lam=lam, detuning=5.0)
@@ -301,12 +301,12 @@ def test_oracle_window_matches_the_per_node_kernel(log_lam, offset, below, above
     R, origin, f = _folded_tail_integrand(s, omega)
     t = np.array([below, above]) * np.pi / lam
     want = numerics.fourier_sine_tail(f, R, origin, t, rel_tol=1e-10, abs_tol=1e-12 * s.alpha)
-    xi, w = np.polynomial.legendre.leggauss(16)
+    xi, w = numerics.gauss_legendre(16)
     for k, u in enumerate(t.tolist()):
         n = int(np.ceil(R / min(lam / 2.0, 0.5 * np.pi / u)))
-        h = 0.5 * R / n
-        x = (2.0 * h * np.arange(n))[:, None] + h * (1.0 + xi)
-        want[k] += np.sum(np.sin(u * x) * f(x) * (h * w))
+        width = R / n
+        x = (width * np.arange(n))[:, None] + width * xi
+        want[k] += np.sum(np.sin(u * x) * f(x) * (width * w))
     got = rate_quadrature_oracle(s, omega, t)
     assert np.max(np.abs(got - want)) <= 1e-13 * s.alpha, (got, want)
 
