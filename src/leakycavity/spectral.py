@@ -146,16 +146,16 @@ def rate_quadrature_oracle(s, omega, t):
     x = e_p + u_j: the panel's left edge e_p = 2ph plus the Gauss offset
     u_j = 2h x_j, with (x_j, w_j) the 16-point Gauss-Legendre rule on
     [0, 1], the same in every panel, as is its weight 2h w_j.  By angle
-    addition the window is then
-    sum_j [cos(t u_j) U_j + sin(t u_j) V_j] with U_j = sum_p sin(t e_p)
-    W_pj and V_j = sum_p cos(t e_p) W_pj: two sines per time and panel,
-    not one per time and node, in blocks of 16 times by _PANEL_BLOCK
-    panels, so memory stays bounded however fine the split.  The tail
-    takes a channel's times at once, in blocks of numerics._TAIL_ROWS.  A
-    point's value does not depend on the rest of the batch.  The panel
-    count grows like t, and past _PANEL_BUDGET (t above about 2.4e4 at
-    lam = 1/3) the oracle raises QuadratureError, checking every count of
-    a channel before it evaluates any of that omega's window.
+    addition the window is sum_j [cos(t u_j) U_j + sin(t u_j) V_j] with
+    U_j = sum_p sin(t e_p) W_pj and V_j = sum_p cos(t e_p) W_pj, W_pj the
+    folded weight times 2h w_j: two sines per time and panel, not one per
+    time and node, in blocks of 16 times by _PANEL_BLOCK panels, so memory
+    stays bounded however fine the split.  The tail takes a channel's
+    times at once, in blocks of numerics._TAIL_ROWS.  A point's value does
+    not depend on the rest of the batch.  The panel count grows like t,
+    and past _PANEL_BUDGET (t above about 2.4e4 at lam = 1/3) the oracle
+    raises QuadratureError, checking every count of a channel before it
+    evaluates any of that omega's window.
     """
     _check_nonnegative_time(t)
     omega, t = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(t, dtype=float))
@@ -199,21 +199,21 @@ def _oracle_channel(s, omega, t):
     xi, w = gauss_legendre(16)
     for k, n in enumerate(counts.astype(int).tolist()):
         group = rows[which == k]
-        width = R / n
-        offsets = width * xi
+        width = R / n  # 2h
+        offsets, weights = width * xi, width * w
         for p in range(0, n, _PANEL_BLOCK):
             edges = np.arange(p, min(p + _PANEL_BLOCK, n)) * width
             x = edges[:, None] + offsets
-            # (offsets, panels), so that the sums over panels run along rows
-            weight = (folded(x) * (width * w)).T.copy()
+            # W as (offsets, panels), so that the sums over panels run along rows
+            W = (folded(x) * weights).T.copy()
             for i in range(0, group.size, _WINDOW_ROWS):
                 r = group[i:i + _WINDOW_ROWS]
                 # sin(t x) = sin(t e) cos(t u) + cos(t e) sin(t u) at x = e + u;
                 # row-wise sums whose bits do not depend on how many rows
                 # there are, as a BLAS matrix product's do
                 te, tu = np.multiply.outer(t[r], edges), np.multiply.outer(t[r], offsets)
-                U = np.einsum("ip,jp->ij", np.sin(te), weight)
-                V = np.einsum("ip,jp->ij", np.cos(te), weight)
+                U = np.einsum("ip,jp->ij", np.sin(te), W)
+                V = np.einsum("ip,jp->ij", np.cos(te), W)
                 out[r] += (np.einsum("ij,ij->i", np.cos(tu), U)
                            + np.einsum("ij,ij->i", np.sin(tu), V))
 
