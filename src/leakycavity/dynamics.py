@@ -220,8 +220,10 @@ def evolve_tcl_ode(sys, s, t_grid, rate=rate_closed_form):
     DOP853 (relative 1e-10, absolute 1e-12), so this route loads no scipy
     unless ``rate`` does.  ``rate(s, omega, t)``, rate_closed_form (fast) or
     spectral.rate_quadrature_oracle (slow: keep the horizon short), gives
-    gamma on the channel axis omega = channels[:, None] at a step's stage
-    times t in one call; a pair of scalars broadcasts over the times.
+    gamma on the channel axis omega = channels[:, None] at the times t of
+    one call: a step attempt's 12 stage times, or the 3 dense-output stage
+    times of each of up to 256 queued steps; a pair of scalars broadcasts
+    over the times.
     """
     ts = _as_time_grid(t_grid)
     G0, G_m, G_p = _generator(sys)

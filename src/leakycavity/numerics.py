@@ -4,7 +4,7 @@ The Gauss-Legendre rule on [0, 1], a Fourier-sine tail integral over
 many frequencies at once (Gauss panels and an accelerated sum over
 half-periods), and ode_solve, one loop that steps y' = A(t) y by Dormand
 & Prince's DOP853, ported to numpy from Hairer, Norsett & Wanner, and
-fills its output grid from each step's dense output.
+fills its output grid from the dense output of many accepted steps at once.
 All functions are pure; there is no shared mutable state.  The
 propagator's tableau, tolerances and call budget are constants of this
 module, as are the tail's rules; the tail's tolerances are arguments,
@@ -159,6 +159,7 @@ def fourier_sine_tail(f, a, origin, freqs, rel_tol, abs_tol):
 _ODE_RTOL = 1e-10           # DOP853 local error control, relative
 _ODE_ATOL = 1e-12           # and absolute
 _ODE_MAX_NFEV = 1_000_000   # right-hand-side calls per call; more raise OdeSolveError
+_ODE_DENSE_STEPS = 256      # accepted steps whose dense output is computed at once
 
 
 def _floats(text):
@@ -252,13 +253,16 @@ def ode_solve(generator, state0, t_grid):
     is ``scipy.integrate.DOP853``'s: the E5/E3 error norm against _ODE_RTOL
     and _ODE_ATOL (relative 1e-10, absolute 1e-12), safety factor 0.9, step
     factors within [0.2, 10], the last step clamped to t_grid[-1]; no other
-    step depends on the grid.  An accepted step fills the grid points it
-    covers from its seventh-degree interpolant, asking for 3 more stage
-    times at once.  Returns an array of shape (len(t_grid), len(state0)).
-    Raises OdeSolveError, carrying the last good time, on a non-finite
-    derivative at t_grid[0], once the step is under 10 ulps of t, or, after
-    a step that leaves the grid unfilled, once _ODE_MAX_NFEV stage times are
-    spent or 1% of them has covered under 1% of the span.
+    step depends on the grid.  An accepted step that covers grid points is
+    queued, its 3 dense stage times counted at once; with _ODE_DENSE_STEPS
+    queued (fewer if their stage matrices pass 1 MB) or the grid covered,
+    one call asks for all of theirs, and each step's seventh-degree
+    interpolant fills its points, bit for bit as alone.  Returns an array
+    of shape (len(t_grid), len(state0)).  Raises OdeSolveError, carrying
+    the last good time, on a non-finite derivative at t_grid[0], once the
+    step is under 10 ulps of t, or, after a step that leaves the grid
+    unfilled, once _ODE_MAX_NFEV stage times are spent or 1% of them has
+    covered under 1% of the span.
     """
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
@@ -284,10 +288,11 @@ def ode_solve(generator, state0, t_grid):
     if not np.all(np.isfinite(f)):
         raise OdeSolveError(f"non-finite derivative at t={t:g}", last_t=t)
     h_abs = _initial_step(stages, t, y, f, t_end)
-    K = np.empty((16, y.size), dtype=y.dtype)
+    size = max(1, min(_ODE_DENSE_STEPS, 2 ** 20 // (3 * y.size ** 2 * y.itemsize)))
+    Ks, queue, done = np.empty((size, 16, y.size), dtype=y.dtype), [], 1
     while True:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs, rejected = max(h_abs, min_step), False
+        h_abs, rejected, K = max(h_abs, min_step), False, Ks[len(queue)]
         while True:
             if h_abs < min_step:
                 raise OdeSolveError("step size underflow", last_t=t)
@@ -312,21 +317,29 @@ def ode_solve(generator, state0, t_grid):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
-        # the grid points in (t, t_new], from one dense output of this step
+        # the flush fills (t, t_new] from this step's dense output; its 3 stage times count now
         end = np.searchsorted(ts, t_new, side="right")
         if end > filled:
-            for s, A_s in enumerate(stages(t + _C[13:16] * h), 13):
-                K[s] = A_s @ (y + np.dot(K[:s].T, _A[s, :s]) * h)
-            dy = y_new - y
-            F = [dy, h * f - dy, 2 * dy - h * (f_new + f), *(h * np.dot(_D, K))]
-            x = ((ts[filled:end] - t) / h)[:, None]
-            dense = out[filled:end]
+            queue.append((t, h, end, y, y_new))
+            filled, nfev = end, nfev + 3
+        if len(queue) == size or filled == ts.size:
+            T, H, ends, Y, Y_new = map(np.array, zip(*queue))
+            T, H, Q = T[:, None], H[:, None], Ks[:len(queue)]
+            A = np.asarray(generator((T + _C[13:16] * H).ravel()), dtype=out.dtype)
+            for s in range(13, 16):  # a stacked @ keeps each step's bits; einsum does not
+                Q[:, s] = (A[s - 13::3] @ (Y + (_A[s, :s] @ Q[:, :s]) * H)[..., None])[..., 0]
+            dy = Y_new - Y
+            F = [dy, H * Q[:, 0] - dy, 2 * dy - H * (Q[:, 12] + Q[:, 0]),
+                 *(H * (_D @ Q).swapaxes(0, 1))]
+            step = np.repeat(np.arange(len(queue)), np.diff(ends, prepend=done))
+            x = (ts[done:filled, None] - T[step]) / H[step]
+            dense = out[done:filled]
             dense[:] = 0
             for i, c in enumerate(reversed(F)):
-                dense += c
+                dense += c[step]
                 dense *= x if i % 2 == 0 else 1 - x
-            dense += y
-            filled = end
+            dense += Y[step]
+            queue, done = [], filled
         t, y, f = t_new, y_new, f_new
         if filled == ts.size:
             return out

@@ -185,8 +185,8 @@ def _oracle_channel(s, omega, t):
     out = np.where(t > 0.0, 0.0, t)  # 0 at t = 0, NaN at a NaN time
     rows = np.flatnonzero(t > 0.0)
     # pi/(2t) overflows at a subnormal t, the count at t near the float
-    # maximum; an infinite count fails the budget check below
-    with np.errstate(over="ignore"):
+    # maximum and at t = inf; an infinite count fails the budget check below
+    with np.errstate(over="ignore", divide="ignore"):
         count = np.ceil(R / np.minimum(s.lam / 2.0, 0.5 * np.pi / t[rows]))
     # the inverse makes np.unique sort, where the plain call imports numpy.ma
     counts, which = np.unique(count, return_inverse=True)

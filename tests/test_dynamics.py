@@ -231,7 +231,8 @@ def test_tcl_ode_makes_one_rate_call_per_rhs_evaluation(monkeypatch):
 def test_tcl_ode_case_b_to_t100_makes_under_6000_rhs_calls(monkeypatch):
     # case b to t = 100 on 2001 points: DOP853 makes about 4200 right-hand-side
     # evaluations (stage times) where the fifth-order RK45 made 15518, and
-    # asks for them in about 560 generator calls, a step's stages at once
+    # asks for them in about 284 generator calls: one per step attempt, and
+    # one per 256 accepted steps for their dense output
     sys, s = reference_case("b")
     calls = {"rhs": 0, "generator": 0}
 
@@ -246,7 +247,7 @@ def test_tcl_ode_case_b_to_t100_makes_under_6000_rhs_calls(monkeypatch):
     ts = np.linspace(0.0, 100.0, 2001)
     got = evolve_tcl_ode(sys, s, ts)
     assert 0 < calls["rhs"] < 6000
-    assert 0 < calls["generator"] < calls["rhs"] / 3
+    assert 0 < calls["generator"] < calls["rhs"] / 12
     assert np.max(np.abs(got.states - evolve_analytic(sys, s, ts).states)) < 1e-8
 
 

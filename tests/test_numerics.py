@@ -95,7 +95,7 @@ def test_ode_dense_output_fills_grid():
     assert ode_solve(generator, np.array([]), np.array([0.0, 1.0])).shape == (2, 0)
 
 
-def test_ode_fills_each_grid_point_once_from_the_step_that_covers_it():
+def test_ode_fills_each_grid_point_once_from_the_step_that_covers_it(monkeypatch):
     generator = _driven(np.cos)
 
     def run(ts):
@@ -104,26 +104,39 @@ def test_ode_fills_each_grid_point_once_from_the_step_that_covers_it():
         def recording(times):
             calls.append(times.copy())
             return generator(times)
-        return ode_solve(recording, np.array([0.0, 1.0]), ts), calls
+        # the first two calls are f at t = 0 and the first-step guess
+        return ode_solve(recording, np.array([0.0, 1.0]), ts), calls[2:]
 
     # a step attempt asks for 12 stage times, the last being its end; the
     # steps do not depend on the output grid, so a first run finds an interior
-    # step end for the second, much finer grid to contain
+    # step end for the second, much finer grid to contain; on [0, 10] only the
+    # last step covers a grid point, and its dense output asks for 3 times
     _, coarse = run(np.array([0.0, 10.0]))
-    attempts = [times for times in coarse if times.size == 12]
+    attempts = coarse[:-1]
+    assert {times.size for times in attempts} == {12} and coarse[-1].size == 3
     mid = len(attempts) // 2
     t_end = attempts[mid][-1]
     assert attempts[mid + 1][0] > t_end  # the attempt was accepted
+    # an attempt is accepted when the next starts past its end; the last one is
+    steps = [a for a, b in zip(attempts, attempts[1:]) if b[0] > a[-1]] + attempts[-1:]
     ts = np.union1d(np.linspace(0.0, 10.0, 10001), [t_end])
+    # with the batch at 3 steps, a dense output call asks for 9 stage times at
+    # most, so the 12-time calls are the attempts
+    monkeypatch.setattr(numerics, "_ODE_DENSE_STEPS", 3)
     out, fine = run(ts)
     assert np.array_equal([times for times in fine if times.size == 12], attempts)
-    # the dense output asks for 3 stage times inside the step just drawn,
-    # once per accepted step (each covers grid points here), not once per
-    # grid point; an attempt is accepted when the next starts past its end
-    dense = [(before, times) for before, times in zip(fine, fine[1:]) if times.size == 3]
-    assert len(dense) == 1 + sum(b[0] > a[-1] for a, b in zip(attempts, attempts[1:]))
-    for before, times in dense:
-        assert before.size == 12 and before.min() <= times.min() and times.max() <= before.max()
+    # every accepted step covers grid points here; its dense output is 3
+    # stage times inside it, asked for with those of the next two steps, not
+    # once per grid point, right after the last of the three is accepted
+    dense = [i for i, times in enumerate(fine) if times.size != 12]
+    sizes = [fine[i].size for i in dense]
+    full, rest = divmod(len(steps), 3)
+    assert sizes == [9] * full + [3 * rest] * (rest > 0)
+    triples = np.concatenate([fine[i] for i in dense]).reshape(-1, 3)
+    for step, times in zip(steps, triples):
+        assert step.min() <= times.min() and times.max() <= step.max()
+    for k, i in enumerate(dense):
+        assert np.array_equal(fine[i - 1], steps[min(3 * k + 2, len(steps) - 1)])
     assert np.max(np.abs(out[:, 0] - np.sin(ts))) < 1e-9
 
 
@@ -213,12 +226,63 @@ def test_ode_solve_steps_as_scipys_dop853(problem):
     got, got_nfev, got_fail = _ported_dop853(generator, y0, ts)
     assert got_nfev == want_nfev
     if want_fail is None:
+        # scipy's dense output is one step at a time, and the same arithmetic
+        # per step: the batched flush must give its bits
         assert got_fail is None and got.dtype == want.dtype
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert got.tobytes() == want.tobytes()
     else:
         # y = 1 / (1 - t) blows up at t = 1: both stop there on step underflow,
         # ode_solve by OdeSolveError with its last_t
         assert got is None and abs(got_fail - want_fail) <= 1e-12
+
+
+def _sparse_case_b_problem():
+    # steps that cover no grid point, and one that covers two
+    generator, y0, _ = _case_b_problem()
+    return generator, y0, np.array([0.0, 0.5, 37.0, 37.001, 100.0])
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("problem", [
+    _case_b_problem,
+    lambda: (_constant([[3j]]), np.array([1.0 + 0.0j]), np.linspace(0.0, 20.0, 41)),
+    _sparse_case_b_problem,
+], ids=["case-b-generator", "complex-rotation", "sparse-grid"])
+def test_ode_dense_output_does_not_depend_on_the_batch(problem, batch, monkeypatch):
+    generator, y0, ts = problem()
+    want = ode_solve(generator, y0, ts)
+    monkeypatch.setattr(numerics, "_ODE_DENSE_STEPS", batch)
+    got = ode_solve(generator, y0, ts)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_ode_budget_counts_dense_stage_times_when_a_step_is_queued(monkeypatch):
+    # every step covers points of this grid, and a step's 3 dense stage times
+    # count when it is queued, so the budget runs out at the same step whatever
+    # the batch, with steps still queued at 256
+    monkeypatch.setattr(numerics, "_ODE_MAX_NFEV", 20_000)
+    generator = _driven(lambda t: np.cos(t * t))
+    last_t = []
+    for batch in (1, 256):
+        monkeypatch.setattr(numerics, "_ODE_DENSE_STEPS", batch)
+        with pytest.raises(OdeSolveError, match="exhausted") as err:
+            ode_solve(generator, np.array([0.0, 1.0]), np.linspace(0.0, 100.0, 100001))
+        last_t.append(err.value.last_t)
+    assert last_t[0] == last_t[1]
+
+
+def test_ode_dense_output_batch_stays_under_a_megabyte():
+    # 3 stage matrices of 150 x 150 doubles take 540 kB, so each accepted
+    # step's dense output is asked for alone
+    n, calls = 150, []
+
+    def generator(ts):
+        calls.append(ts.size)
+        return np.broadcast_to(-np.eye(n), (ts.size, n, n))
+    ts = np.linspace(0.0, 1.0, 11)
+    out = ode_solve(generator, np.ones(n), ts)
+    assert calls.count(3) > 1 and max(size for size in calls if size != 12) == 3
+    assert np.max(np.abs(out - np.exp(-ts)[:, None])) < 1e-9
 
 
 NAN_START_SCRIPT = """\

@@ -256,6 +256,12 @@ def test_oracle_at_overflowing_panel_count_is_the_budget_error():
         rate_quadrature_oracle(s, s.detuning, 1e308)
 
 
+def test_oracle_at_infinite_time_is_the_budget_error():
+    # pi / (2t) is 0 at t = inf, so the count divides by zero: one error, no warning
+    with pytest.raises(QuadratureError, match="needs inf panels"):
+        rate_quadrature_oracle(LorentzianSpectrum(0.1, 0.1, -0.5), -0.5, float("inf"))
+
+
 def test_oracle_window_at_large_time_stays_in_small_blocks():
     # t = 2e4 at lam = 0.1 splits the window into ~2.5e5 panels, 4e6 nodes
     s = LorentzianSpectrum(alpha=0.1, lam=0.1, detuning=-0.5)
