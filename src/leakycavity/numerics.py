@@ -1,9 +1,10 @@
-"""Integration utilities shared by the rate and dynamics modules.
+"""Integration utilities: the quadrature oracle's rules and the TCL ODE's propagator.
 
-The Gauss-Legendre rule on [0, 1], a Fourier-sine tail integral over
-many frequencies at once (Gauss panels and an accelerated sum over
-half-periods), and ode_solve, one loop that steps y' = A(t) y by Dormand
-& Prince's DOP853, ported to numpy from Hairer, Norsett & Wanner, and
+The spectral module's quadrature oracle uses the Gauss-Legendre rule on
+[0, 1] and a Fourier-sine tail integral over many frequencies at once
+(Gauss panels and an accelerated sum over half-periods).  The dynamics
+module uses ode_solve, one loop that steps y' = A(t) y by Dormand &
+Prince's DOP853, ported to numpy from Hairer, Norsett & Wanner, and
 fills its output grid from the dense output of many accepted steps at once.
 All functions are pure; there is no shared mutable state.  The
 propagator's tableau, tolerances and call budget are constants of this
@@ -26,12 +27,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature did not converge; carries the best estimate and its error bound."""
-
-    def __init__(self, message, estimate, error_bound):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
+    """Quadrature missed its tolerance or would pass its budget; the message gives the numbers."""
 
 
 class OdeSolveError(RuntimeError):
@@ -132,7 +128,7 @@ def fourier_sine_tail(f, a, origin, freqs, rel_tol, abs_tol):
     half-period overflows (t below about 2e-308) the tail past x0 is
     dropped.  The error estimate adds the change from 16-point rules and
     from 8 accelerated terms fewer; above max(abs_tol, rel_tol*|result|)
-    it raises QuadratureError carrying the estimate, and a non-finite f
+    it raises QuadratureError quoting both numbers, and a non-finite f
     gives a non-finite result instead.  Times go in blocks of _TAIL_ROWS,
     and a time's value does not depend on the rest of the batch.
     """
@@ -151,7 +147,7 @@ def fourier_sine_tail(f, a, origin, freqs, rel_tol, abs_tol):
             j = bad[0]
             raise QuadratureError(
                 f"Fourier tail at frequency {block[j]:g}: estimated error {err[j]:.3e} "
-                f"above the tolerance {tol[j]:.3e}", estimate=value[j], error_bound=err[j])
+                f"above the tolerance {tol[j]:.3e}")
         out[i:i + _TAIL_ROWS] = value
     return out
 
@@ -295,7 +291,7 @@ def ode_solve(generator, state0, t_grid):
         h_abs, rejected, K = max(h_abs, min_step), False, Ks[len(queue)]
         while True:
             if h_abs < min_step:
-                raise OdeSolveError("step size underflow", last_t=t)
+                raise OdeSolveError(f"step size underflow at t={t:g}", last_t=t)
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = np.abs(h)
@@ -344,7 +340,8 @@ def ode_solve(generator, state0, t_grid):
         if filled == ts.size:
             return out
         if nfev >= _ODE_MAX_NFEV:
-            raise OdeSolveError(f"budget of {_ODE_MAX_NFEV} RHS calls exhausted", last_t=t)
+            raise OdeSolveError(f"budget of {_ODE_MAX_NFEV} RHS calls exhausted at t={t:g}",
+                                last_t=t)
         if nfev >= _ODE_MAX_NFEV // 100 and t - ts[0] < 0.01 * (t_end - ts[0]):
             raise OdeSolveError(f"budget of {_ODE_MAX_NFEV} RHS calls would run out: "
                                 f"{nfev} calls reached t={t:g}, under 1% of "

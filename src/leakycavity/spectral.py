@@ -131,8 +131,9 @@ def rate_quadrature_oracle(s, omega, t):
 
     The x integral is evaluated numerically: composite Gauss-Legendre on
     the window [0, R], R = |detuning - omega| + K half-widths with K = 200,
-    in ceil(R / min(lam/2, pi/(2t))) panels, each below half a half-width
-    and half an oscillation period of the kernel, plus the Fourier-sine
+    in base * 2**k panels, base = ceil(R / (lam/2)), at the time's level
+    k = max(0, ceil(log2(t lam / (4 pi)))), each at most half a half-width
+    and one oscillation period 2 pi/t of the kernel wide, plus the Fourier-sine
     tail of the smooth integrand 2 [J(omega+x) + J(omega-x)]/x on
     [R, inf) by numerics.fourier_sine_tail (panels in ln(x - |detuning -
     omega|) up to x t ~ 1, then half-periods of sin(x t) summed with
@@ -140,8 +141,8 @@ def rate_quadrature_oracle(s, omega, t):
     absolute 1e-12 alpha.  No use is made of the closed-form result; this is a test
     oracle, not a fast path.
     Broadcasts over omega and t like rate_closed_form.  The window [0, R]
-    does not depend on t: per distinct omega, every time with the same
-    panel count n shares one panel set and its folded spectral weight W.
+    does not depend on t: per distinct omega, every time of one level
+    shares one panel set and its folded spectral weight W.
     The n panels are 2h wide, h = R/(2n), and node j of panel p is
     x = e_p + u_j: the panel's left edge e_p = 2ph plus the Gauss offset
     u_j = 2h x_j, with (x_j, w_j) the 16-point Gauss-Legendre rule on
@@ -152,10 +153,10 @@ def rate_quadrature_oracle(s, omega, t):
     time and node, in blocks of 16 times by _PANEL_BLOCK panels, so memory
     stays bounded however fine the split.  The tail takes a channel's
     times at once, in blocks of numerics._TAIL_ROWS.  A point's value does
-    not depend on the rest of the batch.  The panel count grows like t,
-    and past _PANEL_BUDGET (t above about 2.4e4 at lam = 1/3) the oracle
-    raises QuadratureError, checking every count of a channel before it
-    evaluates any of that omega's window.
+    not depend on the rest of the batch.  The panel count doubles with
+    each level, and past _PANEL_BUDGET (t above about 7.7e4 at lam = 1/3)
+    the oracle raises QuadratureError, checking the top level's count
+    before it evaluates any of that omega's window.
     """
     _check_nonnegative_time(t)
     omega, t = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(t, dtype=float))
@@ -184,21 +185,21 @@ def _oracle_channel(s, omega, t):
 
     out = np.where(t > 0.0, 0.0, t)  # 0 at t = 0, NaN at a NaN time
     rows = np.flatnonzero(t > 0.0)
-    # pi/(2t) overflows at a subnormal t, the count at t near the float
-    # maximum and at t = inf; an infinite count fails the budget check below
-    with np.errstate(over="ignore", divide="ignore"):
-        count = np.ceil(R / np.minimum(s.lam / 2.0, 0.5 * np.pi / t[rows]))
-    # the inverse makes np.unique sort, where the plain call imports numpy.ma
-    counts, which = np.unique(count, return_inverse=True)
-    # every budget is checked before any node is built
-    for n in counts:
-        if not n <= _PANEL_BUDGET:
-            raise QuadratureError(
-                f"panel quadrature needs {n:.3g} panels, above the budget of {_PANEL_BUDGET}",
-                estimate=np.nan, error_bound=np.inf)
+    if rows.size == 0:
+        return out
+    # level k: base * 2**k panels, at most lam/2 and, as 2**k >= t lam/(4 pi), one
+    # period 2 pi/t wide; a count past the float range (t = inf) fails the budget
+    level = np.maximum(np.ceil(np.log2(t[rows]) + np.log2(s.lam / (4.0 * np.pi))), 0.0)
+    with np.errstate(over="ignore"):
+        base = np.ceil(R / (s.lam / 2.0))
+        top = base * np.exp2(level.max())
+    if not top <= _PANEL_BUDGET:  # checked before any node is built
+        raise QuadratureError(
+            f"panel quadrature needs {top:.3g} panels, above the budget of {_PANEL_BUDGET}")
     xi, w = gauss_legendre(16)
-    for k, n in enumerate(counts.astype(int).tolist()):
-        group = rows[which == k]
+    for k in set(level.tolist()):
+        group = rows[level == k]
+        n = int(base * 2.0**k)
         width = R / n  # 2h
         offsets, weights = width * xi, width * w
         for p in range(0, n, _PANEL_BLOCK):

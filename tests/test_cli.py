@@ -203,6 +203,23 @@ def test_evolve_tcl_ode_with_oracle_rates_matches_analytic(capsys):
     assert np.max(np.abs(rows - ref_rows)) < 1e-8
 
 
+def test_evolve_on_oracle_rates_matches_analytic_on_the_figure_2_grid(capsys):
+    # figure 2's grid in case b, t = 100 on 2001 points, to criterion 04's
+    # 1e-8: every stage time lies below 4 pi/lam = 125, at level 0 of the
+    # oracle's window
+    common = ["evolve", "--config", os.devnull, "--set", "reservoir.lambda=0.10050378152592121",
+              "--set", "output.precision=17"]
+    code, ref, err = run_cli(common, capsys)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(common + ["--set", "solver.mode=tcl-ode",
+                                       "--set", "rates.mode=quadrature"], capsys)
+    assert code == 0 and err == ""
+    ref_header, ref_rows = parse_csv(ref)
+    header, rows = parse_csv(out)
+    assert header == ref_header and rows.shape == (2001, 11)
+    assert np.max(np.abs(rows - ref_rows)) < 1e-8
+
+
 @pytest.mark.parametrize("lam", ["1e9", "1e200"])
 def test_tcl_ode_with_nan_initial_rate_is_one_numerical_error_line(lam):
     # alpha*lam overflows to inf, so the rate at t = 0 reads inf * 0 and the

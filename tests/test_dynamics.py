@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import Chebyshev
 
 from leakycavity import dynamics, spectral
@@ -468,6 +468,27 @@ def test_ode_matches_the_exact_solution_across_the_parameter_box(log_alpha, log_
                            detuning=sys.channels[0] + offset)
     ts = np.linspace(0.0, 50.0, 501)
     got = evolve_tcl_ode(sys, s, ts).states
+    assert np.max(np.abs(got - evolve_analytic(sys, s, ts).states)) <= 1e-8
+    assert np.linalg.eigvalsh(got)[:, 0].min() >= -1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(log_alpha=st.floats(-4.0, 0.0), log_lam=st.floats(-3.0, 1.0),
+       offset=st.floats(-3.0, 3.0))
+@example(log_alpha=0.0, log_lam=0.7, offset=3.0)
+@example(log_alpha=-2.0, log_lam=1.0, offset=-3.0)
+def test_ode_on_oracle_rates_matches_the_exact_solution_across_the_parameter_box(
+        log_alpha, log_lam, offset):
+    # the same box with fresh quadrature-oracle rates at every stage time, to
+    # t = 3.  Above lam = 4 pi/3 the later stage times sit at the oracle
+    # window's levels 1 and 2, on panels a half and a quarter as wide; the
+    # five derandomized draws stay below lam = 2, so two examples pin lam = 5
+    # and 10
+    sys = SystemParams(Omega=0.5)
+    s = LorentzianSpectrum(alpha=10.0**log_alpha, lam=10.0**log_lam,
+                           detuning=sys.channels[0] + offset)
+    ts = np.linspace(0.0, 3.0, 61)
+    got = evolve_tcl_ode(sys, s, ts, rate=rate_quadrature_oracle).states
     assert np.max(np.abs(got - evolve_analytic(sys, s, ts).states)) <= 1e-8
     assert np.linalg.eigvalsh(got)[:, 0].min() >= -1e-9
 

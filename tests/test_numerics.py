@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,8 +38,10 @@ def test_quadrature_nonconvergence_carries_estimate():
     tol = dict(rel_tol=1e-12, abs_tol=1e-14)
     with pytest.raises(QuadratureError) as err:
         fourier_sine_tail(peak, 0.0, 0.0, [1.0], **tol)
-    assert np.isfinite(err.value.estimate)
-    assert err.value.error_bound > 0.0
+    found = re.fullmatch(r"Fourier tail at frequency 1: estimated error (\S+) "
+                         r"above the tolerance (\S+)", str(err.value))
+    error, bound = map(float, found.groups())
+    assert np.isfinite(error) and error > bound >= 1e-14
 
 
 @pytest.mark.parametrize("n", [16, 20])
@@ -184,7 +187,7 @@ def _scipy_dop853(generator, y0, ts):
 
 
 def _ported_dop853(generator, y0, ts):
-    """The same from ode_solve, its stage times counted."""
+    """The same from ode_solve, its stage times counted: (states, nfev, OdeSolveError)."""
     calls = []
 
     def counted(times):
@@ -193,7 +196,7 @@ def _ported_dop853(generator, y0, ts):
     try:
         return ode_solve(counted, y0, ts), len(calls), None
     except OdeSolveError as exc:
-        return None, len(calls), exc.last_t
+        return None, len(calls), exc
 
 
 def _case_b_problem():
@@ -232,8 +235,9 @@ def test_ode_solve_steps_as_scipys_dop853(problem):
         assert got.tobytes() == want.tobytes()
     else:
         # y = 1 / (1 - t) blows up at t = 1: both stop there on step underflow,
-        # ode_solve by OdeSolveError with its last_t
-        assert got is None and abs(got_fail - want_fail) <= 1e-12
+        # ode_solve by OdeSolveError with its last_t, which the message names
+        assert got is None and abs(got_fail.last_t - want_fail) <= 1e-12
+        assert str(got_fail) == f"step size underflow at t={got_fail.last_t:g}"
 
 
 def _sparse_case_b_problem():
@@ -319,6 +323,7 @@ def test_ode_step_budget_exhausted(monkeypatch):
     with pytest.raises(OdeSolveError, match="exhausted") as err:
         ode_solve(generator, np.array([0.0, 1.0]), np.array([0.0, 100.0]))
     assert 1.0 < err.value.last_t < 100.0
+    assert str(err.value) == f"budget of 20000 RHS calls exhausted at t={err.value.last_t:g}"
     # the budget counts stage times; the last step may pass it by its own stages
     assert 20_000 <= len(calls) < 20_100
 

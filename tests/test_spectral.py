@@ -250,20 +250,31 @@ def test_oracle_at_huge_time_raises_without_allocating():
 
 
 def test_oracle_at_overflowing_panel_count_is_the_budget_error():
-    # R / (pi / 2t) overflows to an infinite panel count: one error, no warning
+    # base * 2**k overflows to an infinite panel count: one error, no warning
     _, s = reference_case("a")
     with pytest.raises(QuadratureError, match="needs inf panels"):
         rate_quadrature_oracle(s, s.detuning, 1e308)
 
 
 def test_oracle_at_infinite_time_is_the_budget_error():
-    # pi / (2t) is 0 at t = inf, so the count divides by zero: one error, no warning
+    # log2(t) and so the level are inf at t = inf: one error, no warning
     with pytest.raises(QuadratureError, match="needs inf panels"):
         rate_quadrature_oracle(LorentzianSpectrum(0.1, 0.1, -0.5), -0.5, float("inf"))
 
 
+def test_oracle_with_no_positive_time_builds_no_panel():
+    # lam = 1e-7 a unit from the peak needs 2e7 panels at level 0, past the
+    # budget; times that need no window never ask for them
+    s = LorentzianSpectrum(0.1, 1e-7, 0.0)
+    got = rate_quadrature_oracle(s, 1.0, [0.0, np.nan])
+    assert got[0] == 0.0 and np.isnan(got[1])
+    with pytest.raises(QuadratureError, match="needs 2e[+]07 panels"):
+        rate_quadrature_oracle(s, 1.0, [0.0, 1.0])
+
+
 def test_oracle_window_at_large_time_stays_in_small_blocks():
-    # t = 2e4 at lam = 0.1 splits the window into ~2.5e5 panels, 4e6 nodes
+    # t = 2e4 at lam = 0.1 sits at level 8: the window takes 400 * 2**8 panels,
+    # 1.6e6 nodes
     s = LorentzianSpectrum(alpha=0.1, lam=0.1, detuning=-0.5)
     tracemalloc.start()
     try:
@@ -277,15 +288,15 @@ def test_oracle_window_at_large_time_stays_in_small_blocks():
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(log_lam=st.floats(-2.0, 0.0), offset=st.floats(-3.0, 3.0),
-       below=st.floats(0.1, 0.9), above=st.floats(1.5, 3.0),
-       more=st.lists(st.floats(0.1, 3.0), max_size=3))
+       below=st.floats(0.1, 0.9), above=st.floats(1.2, 3.5),
+       more=st.lists(st.floats(0.1, 3.5), max_size=3))
 def test_oracle_point_does_not_depend_on_the_batch(log_lam, offset, below, above, more):
-    # times on both sides of pi/lam, where the window's panels stop being
-    # half a half-width wide and start to shrink like 1/t, so the batch
-    # holds at least two panel counts; t = 0 joins it
+    # one time at level 0, below 4 pi/lam, and one at level 1 or 2, where the
+    # window's panels halve once or twice, so the batch holds at least two
+    # panel sets; t = 0 joins it
     lam = 10.0**log_lam
     s = LorentzianSpectrum(alpha=0.1, lam=lam, detuning=5.0)
-    t = np.array([0.0, below, above, *more]) * np.pi / lam
+    t = np.array([0.0, below, above, *more]) * 4.0 * np.pi / lam
     omegas = s.detuning + np.array([offset, -0.5 * offset])
     got = rate_quadrature_oracle(s, omegas[:, None], t)
     want = [[rate_quadrature_oracle(s, w, u) for u in t.tolist()] for w in omegas.tolist()]
@@ -294,23 +305,25 @@ def test_oracle_point_does_not_depend_on_the_batch(log_lam, offset, below, above
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(log_lam=st.floats(-2.0, 0.0), offset=st.floats(-3.0, 3.0),
-       below=st.floats(0.1, 0.9), above=st.floats(1.5, 3.0))
+       below=st.floats(0.1, 0.9), above=st.floats(1.2, 3.5))
 def test_oracle_window_matches_the_per_node_kernel(log_lam, offset, below, above):
     # the window by angle addition against sum sin(t x) f(x) w node by node,
-    # on the documented layout of n = ceil(R / min(lam/2, pi/(2t))) panels 2h
-    # wide, node e_p + 2h x_j and weight 2h w_j of the 16-point rule on [0, 1]:
-    # one time below pi/lam, where the count is fixed, and one above, where it
-    # grows like t; both sides add the same tail
+    # on the documented layout: at level k = max(0, ceil(log2(t lam / 4 pi))),
+    # n = ceil(R / (lam/2)) * 2**k panels 2h wide, node e_p + 2h x_j and weight
+    # 2h w_j of the 16-point rule on [0, 1]; one time at level 0, below
+    # 4 pi/lam, and one at level 1 or 2; both sides add the same tail
     lam = 10.0**log_lam
     s = LorentzianSpectrum(alpha=0.1, lam=lam, detuning=5.0)
     omega = s.detuning + offset
     R, origin, f = _folded_tail_integrand(s, omega)
-    t = np.array([below, above]) * np.pi / lam
+    t = np.array([below, above]) * 4.0 * np.pi / lam
     want = numerics.fourier_sine_tail(f, R, origin, t, rel_tol=1e-10, abs_tol=1e-12 * s.alpha)
     xi, w = numerics.gauss_legendre(16)
     for k, u in enumerate(t.tolist()):
-        n = int(np.ceil(R / min(lam / 2.0, 0.5 * np.pi / u)))
+        level = max(0, int(np.ceil(np.log2(u * lam / (4.0 * np.pi)))))
+        n = int(np.ceil(R / (lam / 2.0))) * 2**level
         width = R / n
+        assert width <= lam / 2.0 and width <= 2.0 * np.pi / u * (1.0 + 1e-15)
         x = (width * np.arange(n))[:, None] + width * xi
         want[k] += np.sum(np.sin(u * x) * f(x) * (width * w))
     got = rate_quadrature_oracle(s, omega, t)
