@@ -1,16 +1,12 @@
-"""Quantitative checks on trajectories: trapping plateaus and stationary
-rate ratios."""
+"""Quantitative checks on trajectories: trapping plateaus."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import stationary_rate
-
 __all__ = [
     "TrappingReport",
     "detect_plateau",
-    "asymptotic_rate_ratio",
 ]
 
 
@@ -82,19 +78,3 @@ def detect_plateau(t, P, osc_period):
     return TrappingReport(
         plateau_start=float(t[i0]), plateau_end=float(t[i1]),
         trapped_value=float(np.trapezoid(P[i0:i1 + 1], t[i0:i1 + 1]) / duration))
-
-
-def asymptotic_rate_ratio(s, sys):
-    """Stationary rate of the upper channel over the lower one.
-
-    With the spectrum peaked on the lower channel this is
-    lam**2 / (4 Omega**2 + lam**2); configurations with the peak elsewhere
-    are rejected since the simple ratio formula no longer applies.
-    """
-    if not np.isclose(s.detuning, sys.channels[0], rtol=1e-9, atol=1e-12):
-        raise ValueError(
-            "asymptotic_rate_ratio assumes the spectrum peaks on the lower "
-            f"dressed channel (omega1 - omega0 = -Omega), got {s.detuning}")
-    # one array, so that a 0/0 is a NaN for the caller's finite check
-    lower, upper = stationary_rate(s, sys.channels)
-    return upper / lower

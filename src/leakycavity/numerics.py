@@ -26,11 +26,11 @@ __all__ = [
 ]
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Quadrature missed its tolerance or would pass its budget; the message gives the numbers."""
 
 
-class OdeSolveError(RuntimeError):
+class OdeSolveError(ArithmeticError):
     """ODE propagation failed; ``last_t`` is the last time reached successfully."""
 
     def __init__(self, message, last_t):
@@ -65,7 +65,8 @@ def gauss_legendre(n):
 @lru_cache(maxsize=None)
 def _cvz_weights(n, size):
     """w, zero past n, with sum_k (-1)^k a_k ~ sum_k w_k a_k: algorithm 1 of Cohen,
-    Rodriguez Villegas & Zagier, off by about 5.8^-n for a moment sequence a_k."""
+    Rodriguez Villegas & Zagier, off by about 5.8^-n for a moment sequence a_k.
+    Built once per (n, size) and shared, so read-only."""
     d = (3.0 + 8.0 ** 0.5) ** n
     d = 0.5 * (d + 1.0 / d)
     b, c, w = -1.0, -d, np.zeros(size)
@@ -73,6 +74,7 @@ def _cvz_weights(n, size):
         c = b - c
         w[k] = c / d
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
+    w.flags.writeable = False
     return w
 
 

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import leakycavity
 from leakycavity import analysis, dynamics, numerics, spectral
-from leakycavity.analysis import asymptotic_rate_ratio, detect_plateau
-from leakycavity.dynamics import SystemParams, evolve_analytic
-from leakycavity.spectral import LorentzianSpectrum
+from leakycavity.analysis import detect_plateau
+from leakycavity.dynamics import evolve_analytic
 from powerlaw import short_time_exponent
 from reference import reference_case
 
@@ -127,38 +126,6 @@ def test_package_exports_each_module_all():
     for m in modules:
         for name in m.__all__:
             assert getattr(leakycavity, name) is getattr(m, name)
-
-
-def test_asymptotic_rate_ratio_reference_values():
-    sys, sa = reference_case("a")
-    _, sb = reference_case("b")
-    assert abs(asymptotic_rate_ratio(sa, sys) - 0.1) < 1e-15
-    assert abs(asymptotic_rate_ratio(sb, sys) - 0.01) < 1e-15
-
-
-def test_asymptotic_rate_ratio_flat_spectrum_limit():
-    sys = SystemParams(Omega=0.5)
-    s = LorentzianSpectrum(alpha=0.1, lam=1e4, detuning=sys.channels[0])
-    assert asymptotic_rate_ratio(s, sys) > 1.0 - 1e-7
-
-
-def test_asymptotic_rate_ratio_scale_invariance():
-    for scale in (2.0, 7.5):
-        sys1 = SystemParams(Omega=0.5)
-        sys2 = SystemParams(Omega=0.5 * scale)
-        s1 = LorentzianSpectrum(alpha=0.1, lam=0.31, detuning=sys1.channels[0])
-        s2 = LorentzianSpectrum(alpha=0.1, lam=0.31 * scale,
-                                detuning=sys2.channels[0])
-        r1 = asymptotic_rate_ratio(s1, sys1)
-        r2 = asymptotic_rate_ratio(s2, sys2)
-        assert abs(r1 - r2) < 1e-14
-
-
-def test_asymptotic_rate_ratio_rejects_off_peak_configuration():
-    sys = SystemParams(Omega=0.5)
-    s = LorentzianSpectrum(alpha=0.1, lam=0.3, detuning=0.0)
-    with pytest.raises(ValueError):
-        asymptotic_rate_ratio(s, sys)
 
 
 def test_reference_case_values():

@@ -652,7 +652,7 @@ def test_sweep_rejects_a_peak_off_the_lower_channel_at_any_omega0(omega0, omega1
          "--set", f"reservoir.omega1={omega1}", "--param", "lambda",
          "--from", "0.1", "--to", "0.1", "--steps", "1"], capsys)
     assert code == 2 and out == ""
-    assert err == ("error: config: asymptotic_rate_ratio assumes the spectrum peaks on "
+    assert err == ("error: config: sweep assumes the spectrum peaks on "
                    "the lower dressed channel (omega1 - omega0 = -Omega), got 4.5; leave "
                    "reservoir.omega1 unset to put the peak on the lower channel exactly\n")
 
@@ -851,6 +851,83 @@ def test_oversized_grid_is_one_memory_error_line(capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: memory: ") and err.count("\n") == 1
+
+
+_MILLION = ["--config", os.devnull, "--set", "evolve.n_output=1000000"]
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("evolve", ["evolve", *_MILLION]),
+    ("closed-form", ["rates", *_MILLION]),
+    ("quadrature", ["rates", *_MILLION, "--set", "rates.mode=quadrature"]),
+    ("evolve", ["figures", "--id", "2", "--case", "a", "--n-points", "1000000"]),
+    ("sweep", ["sweep", *_MILLION, "--param", "lambda", "--from", "0.1", "--to", "1",
+               "--steps", "3"]),
+], ids=["evolve", "rates", "oracle", "figures", "sweep"])
+def test_grid_past_physical_memory_is_refused_before_it_is_built(capsys, monkeypatch,
+                                                                 key, argv):
+    # a machine of 2**20 bytes: a million times fit at no command's bytes per
+    # time, and the grid alone would take 8 MB
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 2**20 // sysconf("SC_PAGE_SIZE")
+                        if name == "SC_PHYS_PAGES" else sysconf(name))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == "" and peak < 1_000_000
+    assert err == (f"error: memory: evolve.n_output = 1000000 times of {cli._ROW_BYTES[key]} B "
+                   "each exceed the 0.000977 GiB of physical memory\n")
+
+
+def test_grid_at_physical_memory_still_runs(capsys, monkeypatch):
+    # the largest evolve grid that fits the memory runs; one time more is refused
+    memory = 16 * os.sysconf("SC_PAGE_SIZE")
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: 16 if name == "SC_PHYS_PAGES" else sysconf(name))
+    n = memory // cli._ROW_BYTES["evolve"]
+    argv = ["evolve", "--config", os.devnull, "--set"]
+    assert run_cli(argv + [f"evolve.n_output={n}"], capsys)[0] == 0
+    assert run_cli(argv + [f"evolve.n_output={n + 1}"], capsys)[:2] == (3, "")
+
+
+# Each command's VmHWM growth over the imported package, read in the child
+# itself: ru_maxrss would carry the high-water mark of the process that spawned it
+HWM_SCRIPT = """
+import sys
+from leakycavity.cli import main
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+before = hwm()
+code = main(sys.argv[1:])
+print(code, hwm() - before)
+"""
+
+
+def test_row_bytes_bound_each_commands_peak():
+    # at 2e5 times the fixed part of the peak still counts, at 1e6 hardly; the
+    # oracle's constant has no child here, as 2e5 oracle times take 10-25 s
+    runs = {"evolve": (200_000, ["evolve"]),
+            "sweep": (1_000_000, ["sweep", "--param", "lambda", "--from", "0.1",
+                                  "--to", "0.1", "--steps", "1"]),
+            "closed-form": (1_000_000, ["rates"])}
+    procs = {key: subprocess.Popen(
+        [sys.executable, "-c", HWM_SCRIPT, *argv, "--config", os.devnull,
+         "--set", f"evolve.n_output={rows}", "--set", f"output.path={os.devnull}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
+        for key, (rows, argv) in runs.items()}
+    for key, proc in procs.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0 and err == "", err
+        code, growth = map(int, out.split())
+        assert code == 0
+        assert growth < cli._ROW_BYTES[key] * runs[key][0], (key, growth / runs[key][0])
 
 
 def test_oracle_past_panel_budget_is_one_numerical_error_line(capsys):

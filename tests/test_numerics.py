@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leakycavity import dynamics, numerics
+from leakycavity import dynamics, numerics, spectral
 from leakycavity.numerics import (OdeSolveError, QuadratureError,
                                   fourier_sine_tail, ode_solve)
 from reference import reference_case
@@ -49,6 +49,13 @@ def test_gauss_legendre_integrates_polynomials_exactly(n):
     # the n-point rule on [0, 1] is exact through degree 2n - 1
     x, w = numerics.gauss_legendre(n)
     assert abs(np.dot(w, x ** (2 * n - 1)) - 1.0 / (2 * n)) < 1e-15
+
+
+def test_shared_rule_arrays_are_read_only():
+    # each is cached and shared: one write would change every later tail
+    for a in (*numerics.gauss_legendre(20), numerics._cvz_weights(20, numerics._TAIL_TERMS)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def _constant(A):
@@ -238,6 +245,16 @@ def test_ode_solve_steps_as_scipys_dop853(problem):
         # ode_solve by OdeSolveError with its last_t, which the message names
         assert got is None and abs(got_fail.last_t - want_fail) <= 1e-12
         assert str(got_fail) == f"step size underflow at t={got_fail.last_t:g}"
+
+
+def test_numerical_failures_are_arithmetic_errors():
+    # one except clause in a library caller, as in the CLI's exit 3, takes
+    # both the oracle's budget error and the ODE's step size underflow
+    _, s = reference_case("a")
+    with pytest.raises(ArithmeticError, match="budget"):
+        spectral.rate_quadrature_oracle(s, s.detuning, 1e12)
+    with pytest.raises(ArithmeticError, match="step size underflow"):
+        ode_solve(_blow_up, np.array([1.0]), np.array([0.0, 2.0]))
 
 
 def _sparse_case_b_problem():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from leakycavity import numerics, spectral
+from leakycavity.dynamics import SystemParams
 from leakycavity.numerics import QuadratureError
 from leakycavity.spectral import (LorentzianSpectrum, accumulated_rate,
                                   rate_closed_form, rate_quadrature_oracle,
@@ -117,6 +118,35 @@ def test_stationary_rate_values():
     s, w = GENERIC, 4.2
     J = s.alpha * s.lam**2 / (2 * np.pi * ((s.detuning - w)**2 + s.lam**2))
     assert abs(stationary_rate(s, w) - 2 * np.pi * J) <= 4 * np.finfo(float).eps * 2 * np.pi * J
+
+
+def _channel_ratio(s, sys):
+    """Stationary rate of the upper dressed channel over the lower one, as sweep has it."""
+    lower, upper = stationary_rate(s, sys.channels)
+    return upper / lower
+
+
+def test_stationary_rate_ratio_reference_values():
+    sys, sa = reference_case("a")
+    _, sb = reference_case("b")
+    assert abs(_channel_ratio(sa, sys) - 0.1) < 1e-15
+    assert abs(_channel_ratio(sb, sys) - 0.01) < 1e-15
+
+
+def test_stationary_rate_ratio_flat_spectrum_limit():
+    sys = SystemParams(Omega=0.5)
+    s = LorentzianSpectrum(alpha=0.1, lam=1e4, detuning=sys.channels[0])
+    assert _channel_ratio(s, sys) > 1.0 - 1e-7
+
+
+def test_stationary_rate_ratio_scale_invariance():
+    for scale in (2.0, 7.5):
+        sys1 = SystemParams(Omega=0.5)
+        sys2 = SystemParams(Omega=0.5 * scale)
+        s1 = LorentzianSpectrum(alpha=0.1, lam=0.31, detuning=sys1.channels[0])
+        s2 = LorentzianSpectrum(alpha=0.1, lam=0.31 * scale,
+                                detuning=sys2.channels[0])
+        assert abs(_channel_ratio(s1, sys1) - _channel_ratio(s2, sys2)) < 1e-14
 
 
 def test_oracle_trivial_time_and_preconditions():
