@@ -79,17 +79,16 @@ def _cvz_weights(n, size):
 
 
 def _tail_pieces(f, a, origin, t, nodes):
-    """(the tail from a to the first zero of sin(t x) past x0, (-1)^k times
-    the integral over each of the next _TAIL_TERMS half-periods) for each t."""
+    """(the tail from a to x0, (-1)^k times the integral over each of the
+    _TAIL_TERMS half-periods [x0 + k pi/t, x0 + (k + 1) pi/t]) for each t."""
     xi, w = gauss_legendre(nodes)
     head, gap = np.zeros(t.size), a - origin
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inv, half = 1.0 / t, np.pi / t  # inf at a subnormal t
         x0 = origin + np.maximum(gap, inv) if gap > 0.0 else np.full(t.size, a)
-        m = np.ceil(x0 / half)
-        delta = m * np.pi - t * x0  # t (z0 - x0) for the zero z0 = m pi / t
-        z0 = x0 + delta / t
-        rows = np.flatnonzero(np.isfinite(z0 + _TAIL_TERMS * half))
+        phase = t * x0
+        # the times whose half-periods and phase t x0 are finite (all terms >= 0)
+        rows = np.flatnonzero(np.isfinite(x0 + _TAIL_TERMS * half + phase))
     # [a, x0] where (x - origin) t < 1: panels at most one unit of ln(x - origin)
     # wide, the last ending at the largest float where 1/t overflows
     logs = np.flatnonzero(inv > gap) if gap > 0.0 else np.empty(0, dtype=int)
@@ -103,15 +102,12 @@ def _tail_pieces(f, a, origin, t, nodes):
         y = np.exp(u0 + (k + xi) * h)
         x = origin + y
         head[r] += np.einsum("ij,j->i", f(x) * y * np.sin(t[r, None] * x), w) * h[:, 0]
-    # [x0, z0], where sin(t x) = -(-1)^m sin(delta (1 - xi)), and the half-periods
-    # past z0, on which it is (-1)^(m + k) sin(pi xi)
-    sign = 1.0 - 2.0 * np.fmod(m[rows], 2.0)
-    width = (z0 - x0)[rows, None]
-    part = f(x0[rows, None] + width * xi) * np.sin(delta[rows, None] * (1.0 - xi))
-    head[rows] -= sign * np.einsum("ij,j->i", part, w) * width[:, 0]
-    x = z0[rows, None, None] + (np.arange(_TAIL_TERMS)[:, None] + xi) * half[rows, None, None]
+    # on the k-th half-period past x0, sin(t x) = (-1)^k sin(t x0 + pi xi)
+    s, c = np.sin(phase[rows, None]), np.cos(phase[rows, None])
+    kernel = w * (s * np.cos(np.pi * xi) + c * np.sin(np.pi * xi))
+    x = x0[rows, None, None] + (np.arange(_TAIL_TERMS)[:, None] + xi) * half[rows, None, None]
     terms = np.zeros((t.size, _TAIL_TERMS))
-    terms[rows] = np.einsum("ijk,k->ij", f(x), w * np.sin(np.pi * xi)) * (sign * half[rows])[:, None]
+    terms[rows] = np.einsum("ijk,ik->ij", f(x), kernel) * half[rows, None]
     return head, terms
 
 
@@ -120,18 +116,19 @@ def fourier_sine_tail(f, a, origin, freqs, rel_tol, abs_tol):
 
     ``f`` maps an array of nodes in [a, inf) to its values there; it must
     be smooth there and decay monotonically to 0, and ``origin`` is the
-    real part of its nearest singularity (0 for one at x = 0).  Three
+    real part of its nearest singularity (0 for one at x = 0).  Two
     pieces, with x0 = origin + max(a - origin, 1/t), or a if a = origin:
     [a, x0] on panels at most one unit of ln(x - origin) wide, where
-    (x - origin) t < 1; [x0, z0] to the first zero z0 of sin(t x); and
-    _TAIL_TERMS half-periods between its zeros, whose alternating sum is
+    (x - origin) t < 1; and _TAIL_TERMS half-periods pi/t wide from x0,
+    on each of which sin(t x) is (-1)^k (sin(t x0) cos(pi xi) + cos(t x0)
+    sin(pi xi)) at x = x0 + (k + xi) pi/t, whose alternating sum is
     accelerated by Cohen, Rodriguez Villegas & Zagier (Experiment. Math.
     9, 2000).  Every panel takes a 20-point Gauss-Legendre rule.  Where a
-    half-period overflows (t below about 2e-308) the tail past x0 is
-    dropped.  The error estimate adds the change from 16-point rules and
-    from 8 accelerated terms fewer; above max(abs_tol, rel_tol*|result|)
-    it raises QuadratureError quoting both numbers, and a non-finite f
-    gives a non-finite result instead.  Times go in blocks of _TAIL_ROWS,
+    half-period overflows (t below about 2e-308), or t x0 does, the tail
+    past x0 is dropped.  The error estimate adds the change from 16-point
+    rules and from 8 accelerated terms fewer; above max(abs_tol,
+    rel_tol*|result|) it raises QuadratureError quoting both numbers, and
+    a non-finite f gives a non-finite result instead.  Times go in blocks of _TAIL_ROWS,
     and a time's value does not depend on the rest of the batch.
     """
     t = np.asarray(freqs, dtype=float)

@@ -910,24 +910,42 @@ print(code, hwm() - before)
 """
 
 
+def _hwm_child(argv, rows):
+    """A child that runs argv on `rows` output times and prints its VmHWM growth."""
+    return subprocess.Popen(
+        [sys.executable, "-c", HWM_SCRIPT, *argv, "--config", os.devnull,
+         "--set", f"evolve.n_output={rows}", "--set", f"output.path={os.devnull}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
+
+
+def _hwm_growth(proc):
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0 and err == "", err
+    code, growth = map(int, out.split())
+    assert code == 0
+    return growth
+
+
 def test_row_bytes_bound_each_commands_peak():
-    # at 2e5 times the fixed part of the peak still counts, at 1e6 hardly; the
-    # oracle's constant has no child here, as 2e5 oracle times take 10-25 s
+    # at 2e5 times the fixed part of the peak still counts, at 1e6 hardly
     runs = {"evolve": (200_000, ["evolve"]),
             "sweep": (1_000_000, ["sweep", "--param", "lambda", "--from", "0.1",
                                   "--to", "0.1", "--steps", "1"]),
             "closed-form": (1_000_000, ["rates"])}
-    procs = {key: subprocess.Popen(
-        [sys.executable, "-c", HWM_SCRIPT, *argv, "--config", os.devnull,
-         "--set", f"evolve.n_output={rows}", "--set", f"output.path={os.devnull}"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
-        for key, (rows, argv) in runs.items()}
+    procs = {key: _hwm_child(argv, rows) for key, (rows, argv) in runs.items()}
     for key, proc in procs.items():
-        out, err = proc.communicate(timeout=300)
-        assert proc.returncode == 0 and err == "", err
-        code, growth = map(int, out.split())
-        assert code == 0
+        growth = _hwm_growth(proc)
         assert growth < cli._ROW_BYTES[key] * runs[key][0], (key, growth / runs[key][0])
+
+
+def test_oracle_row_bytes_bound_its_growth_per_time():
+    # 2e5 oracle times take 10-25 s, so the oracle's constant bounds the growth
+    # per time between 2e4 and 6e4 times (2-3.5 s each), 155-165 B; between
+    # 1e4 and 4e4 the fixed part still grows, and it reads 173-182 B
+    argv = ["rates", "--set", "rates.mode=quadrature", "--set", "evolve.t_max=10"]
+    small, large = (_hwm_child(argv, rows) for rows in (20_000, 60_000))
+    per_time = (_hwm_growth(large) - _hwm_growth(small)) / 40_000
+    assert per_time < cli._ROW_BYTES["quadrature"], per_time
 
 
 def test_oracle_past_panel_budget_is_one_numerical_error_line(capsys):

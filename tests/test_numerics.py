@@ -20,7 +20,9 @@ def test_quadrature_zero_integrand():
     assert fourier_sine_tail(np.zeros_like, 0.0, 0.0, [1.0], **TOL) == 0.0
 
 
-@pytest.mark.parametrize("a, freq", [(0.0, 1.0), (0.5, 3.0), (2.0, 0.7), (1.0, 10.0)])
+# the last two put x0 = a on a zero of sin(t x) and a quarter period past one
+@pytest.mark.parametrize("a, freq", [(0.0, 1.0), (0.5, 3.0), (2.0, 0.7), (1.0, 10.0),
+                                     (np.pi / 2, 2.0), (np.pi / 4, 2.0)])
 def test_quadrature_exponential_fourier_tail(a, freq):
     # int_a^inf e^{-x} sin(w x) dx = e^{-a} (sin(w a) + w cos(w a)) / (1 + w^2)
     exact = np.exp(-a) * (np.sin(freq * a) + freq * np.cos(freq * a)) / (1 + freq**2)
@@ -78,6 +80,13 @@ def _driven(drive, calls=None):
 def test_ode_scalar_exponential():
     out = ode_solve(_constant([[-1.0]]), np.array([1.0]), np.array([0.0, 1.0]))
     assert abs(out[-1, 0] - np.exp(-1.0)) < 1e-9
+
+
+def test_ode_zero_generator_keeps_the_state():
+    # both error norms vanish on every step, which must accept it, not shrink it
+    ts = np.linspace(0.0, 3.0, 7)
+    out = ode_solve(_constant(np.zeros((2, 2))), np.array([1.0, -2.0]), ts)
+    assert np.array_equal(out, np.tile([1.0, -2.0], (ts.size, 1)))
 
 
 def test_ode_phase_rotation_preserves_norm():
