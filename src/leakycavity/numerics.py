@@ -38,7 +38,6 @@ class OdeSolveError(ArithmeticError):
         self.last_t = last_t
 
 
-_TAIL_ROWS = 64     # frequencies per block of the Fourier tail
 _TAIL_TERMS = 28    # half-periods in its accelerated sum; the error estimate drops 8
 
 
@@ -128,27 +127,24 @@ def fourier_sine_tail(f, a, origin, freqs, rel_tol, abs_tol):
     past x0 is dropped.  The error estimate adds the change from 16-point
     rules and from 8 accelerated terms fewer; above max(abs_tol,
     rel_tol*|result|) it raises QuadratureError quoting both numbers, and
-    a non-finite f gives a non-finite result instead.  Times go in blocks of _TAIL_ROWS,
-    and a time's value does not depend on the rest of the batch.
+    a non-finite f gives a non-finite result instead.  The whole batch is
+    taken at once, so the temporaries grow with it (a peak of about 27 kB
+    a time); a time's value does not depend on the rest of the batch.
     """
     t = np.asarray(freqs, dtype=float)
-    out = np.empty(t.size)
     accel, check = (_cvz_weights(n, _TAIL_TERMS) for n in (_TAIL_TERMS, _TAIL_TERMS - 8))
-    for i in range(0, t.size, _TAIL_ROWS):
-        block = t[i:i + _TAIL_ROWS]
-        (head, terms), (head16, terms16) = (_tail_pieces(f, a, origin, block, n) for n in (20, 16))
-        value = head + np.einsum("ij,j->i", terms, accel)
-        err = (np.abs(value - head16 - np.einsum("ij,j->i", terms16, accel))
-               + np.abs(np.einsum("ij,j->i", terms, accel - check)))
-        tol = np.maximum(abs_tol, rel_tol * np.abs(value))
-        bad = np.flatnonzero(err > tol)
-        if bad.size:
-            j = bad[0]
-            raise QuadratureError(
-                f"Fourier tail at frequency {block[j]:g}: estimated error {err[j]:.3e} "
-                f"above the tolerance {tol[j]:.3e}")
-        out[i:i + _TAIL_ROWS] = value
-    return out
+    (head, terms), (head16, terms16) = (_tail_pieces(f, a, origin, t, n) for n in (20, 16))
+    value = head + np.einsum("ij,j->i", terms, accel)
+    err = (np.abs(value - head16 - np.einsum("ij,j->i", terms16, accel))
+           + np.abs(np.einsum("ij,j->i", terms, accel - check)))
+    tol = np.maximum(abs_tol, rel_tol * np.abs(value))
+    bad = np.flatnonzero(err > tol)
+    if bad.size:
+        j = bad[0]
+        raise QuadratureError(
+            f"Fourier tail at frequency {t[j]:g}: estimated error {err[j]:.3e} "
+            f"above the tolerance {tol[j]:.3e}")
+    return value
 
 
 _ODE_RTOL = 1e-10           # DOP853 local error control, relative

@@ -115,7 +115,7 @@ def stationary_rate(s, omega):
 
 
 _WINDOW_HALFWIDTHS = 200  # K in the oracle docstring
-_WINDOW_ROWS = 16         # times per kernel block of _PANEL_BLOCK panels
+_ROWS = 32                # times per block: the window's sums over panels, then the tail
 _PANEL_BLOCK = 256        # panels per kernel block: 4096 nodes of the 16-point rule
 _PANEL_BUDGET = 2**20     # panels per window; a finer split raises instead
 
@@ -142,17 +142,17 @@ def rate_quadrature_oracle(s, omega, t):
     oracle, not a fast path.
     Broadcasts over omega and t like rate_closed_form.  The window [0, R]
     does not depend on t: per distinct omega, every time of one level
-    shares one panel set and its folded spectral weight W.
-    The n panels are 2h wide, h = R/(2n), and node j of panel p is
-    x = e_p + u_j: the panel's left edge e_p = 2ph plus the Gauss offset
-    u_j = 2h x_j, with (x_j, w_j) the 16-point Gauss-Legendre rule on
-    [0, 1], the same in every panel, as is its weight 2h w_j.  By angle
-    addition the window is sum_j [cos(t u_j) U_j + sin(t u_j) V_j] with
-    U_j = sum_p sin(t e_p) W_pj and V_j = sum_p cos(t e_p) W_pj, W_pj the
-    folded weight times 2h w_j: two sines per time and panel, not one per
-    time and node, in blocks of 16 times by _PANEL_BLOCK panels, so memory
-    stays bounded however fine the split.  The tail takes a channel's
-    times at once, in blocks of numerics._TAIL_ROWS.  A point's value does
+    shares one panel set.  The n panels are 2h wide, h = R/(2n), and node
+    j of panel p is x = e_p + u_j: the panel's left edge e_p = 2ph plus
+    the Gauss offset u_j = 2h x_j, with (x_j, w_j) the 16-point
+    Gauss-Legendre rule on [0, 1], the same in every panel, as is its
+    weight 2h w_j.  By angle addition the window is
+    sum_j [cos(t u_j) U_j + sin(t u_j) V_j] with U_j = sum_p sin(t e_p) W_pj
+    and V_j = sum_p cos(t e_p) W_pj, W_pj the folded weight times 2h w_j:
+    two sines per time and panel, not one per time and node.  The times go
+    in blocks of _ROWS: each level in a block sums U and V over its
+    panels, _PANEL_BLOCK at a time, so memory stays bounded however fine
+    the split, and then the block takes its tail.  A point's value does
     not depend on the rest of the batch.  The panel count doubles with
     each level, and past _PANEL_BUDGET (t above about 7.7e4 at lam = 1/3)
     the oracle raises QuadratureError, checking the top level's count
@@ -197,36 +197,35 @@ def _oracle_channel(s, omega, t):
         raise QuadratureError(
             f"panel quadrature needs {top:.3g} panels, above the budget of {_PANEL_BUDGET}")
     xi, w = gauss_legendre(16)
-    for k in set(level.tolist()):
-        group = rows[level == k]
-        n = int(base * 2.0**k)
-        width = R / n  # 2h
-        offsets, weights = width * xi, width * w
-        for p in range(0, n, _PANEL_BLOCK):
-            edges = np.arange(p, min(p + _PANEL_BLOCK, n)) * width
-            x = edges[:, None] + offsets
-            # W as (offsets, panels), so that the sums over panels run along rows
-            W = (folded(x) * weights).T.copy()
-            for i in range(0, group.size, _WINDOW_ROWS):
-                r = group[i:i + _WINDOW_ROWS]
-                # sin(t x) = sin(t e) cos(t u) + cos(t e) sin(t u) at x = e + u;
-                # row-wise sums whose bits do not depend on how many rows
-                # there are, as a BLAS matrix product's do
-                te, tu = np.multiply.outer(t[r], edges), np.multiply.outer(t[r], offsets)
-                U = np.einsum("ip,jp->ij", np.sin(te), W)
-                V = np.einsum("ip,jp->ij", np.cos(te), W)
-                out[r] += (np.einsum("ij,ij->i", np.cos(tu), U)
-                           + np.einsum("ij,ij->i", np.sin(tu), V))
-
     # 1e-12 * alpha underflows to 0 for a subnormal alpha, which would ask
     # the tail for the relative accuracy of rounding noise
     abs_tol = max(1e-12 * s.alpha, np.finfo(float).tiny)
-    # folded's nearest poles are at x = |d| -+ i lam, 200 half-widths below R;
-    # below t ~ 1e-154 the tail reaches x where the squares overflow and J
-    # reads its limit 0
-    with np.errstate(over="ignore"):
-        out[rows] += fourier_sine_tail(folded, R, abs(d), t[rows], rel_tol=1e-10,
-                                       abs_tol=abs_tol)
+    for i in range(0, rows.size, _ROWS):
+        block, levels = rows[i:i + _ROWS], level[i:i + _ROWS]
+        for k in set(levels.tolist()):
+            r = block[levels == k]
+            n = int(base * 2.0**k)
+            width = R / n  # 2h
+            offsets, weights = width * xi, width * w
+            U = V = 0.0
+            for p in range(0, n, _PANEL_BLOCK):
+                edges = np.arange(p, min(p + _PANEL_BLOCK, n)) * width
+                # W as (offsets, panels), so that the sums over panels run along rows
+                W = folded(offsets[:, None] + edges) * weights[:, None]
+                # row-wise sums whose bits do not depend on how many rows
+                # there are, as a BLAS matrix product's do
+                te = np.multiply.outer(t[r], edges)
+                U += np.einsum("ip,jp->ij", np.sin(te), W)
+                V += np.einsum("ip,jp->ij", np.cos(te), W)
+            # sin(t x) = sin(t e) cos(t u) + cos(t e) sin(t u) at x = e + u
+            tu = np.multiply.outer(t[r], offsets)
+            out[r] = np.einsum("ij,ij->i", np.cos(tu), U) + np.einsum("ij,ij->i", np.sin(tu), V)
+        # folded's nearest poles are at x = |d| -+ i lam, 200 half-widths below R;
+        # below t ~ 1e-154 the tail reaches x where the squares overflow and J
+        # reads its limit 0
+        with np.errstate(over="ignore"):
+            out[block] += fourier_sine_tail(folded, R, abs(d), t[block], rel_tol=1e-10,
+                                            abs_tol=abs_tol)
     return out
 
 

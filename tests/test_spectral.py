@@ -499,20 +499,22 @@ def test_fourier_tail_matches_qawf_where_qawf_is_sound(lam):
                 assert abs(value - want) <= 1e-14 * s.alpha, (omega, u, value, want)
 
 
-def test_fourier_tail_memory_does_not_grow_with_the_batch():
-    # times go in blocks of _TAIL_ROWS, so 40 blocks peak no higher than 10,
-    # past the 8 bytes a time of the result (the whole batch at once would
-    # take about 0.3 MB a block)
+def test_oracle_memory_does_not_grow_with_the_batch():
+    # times go in blocks of _ROWS, window and tail alike, so 2560 times peak
+    # no higher than 640 past the per-time index and result arrays (about
+    # 50 bytes a time; the tail alone peaks at about 27 kB a time)
     s = LorentzianSpectrum(alpha=0.1, lam=0.1, detuning=-0.5)
-    R, origin, f = _folded_tail_integrand(s, 0.5)
-    sizes, peaks = (10 * numerics._TAIL_ROWS, 40 * numerics._TAIL_ROWS), []
+    # a first call fills the cached rules, which would otherwise count only
+    # in the smaller batch's peak
+    rate_quadrature_oracle(s, 0.5, np.linspace(0.01, 20.0, 10))
+    sizes, peaks = (640, 2560), []
     for n in sizes:
         t = np.linspace(0.01, 20.0, n)
         tracemalloc.start()
         try:
-            numerics.fourier_sine_tail(f, R, origin, t, rel_tol=1e-10, abs_tol=1e-13)
+            rate_quadrature_oracle(s, 0.5, t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         peaks.append(peak)
-    assert peaks[1] - peaks[0] < 16 * (sizes[1] - sizes[0]), peaks
+    assert peaks[1] - peaks[0] < 64 * (sizes[1] - sizes[0]), peaks
