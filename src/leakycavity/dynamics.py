@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ode_solve
+from .numerics import _check_nonnegative_time, _time_grid, ode_solve
 from .spectral import accumulated_rate, rate_closed_form
 
 __all__ = [
@@ -124,8 +124,7 @@ def rho_analytic(sys, I_minus, I_plus, t):
     I_minus, I_plus, t = np.broadcast_arrays(
         np.asarray(I_minus, dtype=float), np.asarray(I_plus, dtype=float),
         np.asarray(t, dtype=float))
-    if np.any(t < 0.0):
-        raise ValueError("t must be nonnegative")
+    _check_nonnegative_time(t)
     rho = np.zeros(t.shape + (3, 3), dtype=complex)
     rho[..., MINUS, MINUS] = 0.5 * np.exp(-0.5 * I_minus)
     rho[..., PLUS, PLUS] = 0.5 * np.exp(-0.5 * I_plus)
@@ -160,24 +159,13 @@ def populations(rho):
                 P_atom_g=P_E0 + P_1g, P_atom_e=P_0e)
 
 
-def _as_time_grid(t_grid):
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 1:
-        raise ValueError("t_grid must be a nonempty 1-D array")
-    if ts[0] < 0.0:
-        raise ValueError("t_grid must start at t >= 0")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("t_grid must be strictly increasing")
-    return ts
-
-
 def _trajectory(ts, states):
     return Trajectory(times=ts, states=states, **populations(states))
 
 
 def evolve_analytic(sys, s, t_grid):
     """Trajectory from the closed-form solution, rates accumulated analytically."""
-    ts = _as_time_grid(t_grid)
+    ts = _time_grid(t_grid)
     return _trajectory(ts, rho_analytic(sys, *accumulated_rate(s, sys.channels[:, None], ts), ts))
 
 
@@ -225,7 +213,7 @@ def evolve_tcl_ode(sys, s, t_grid, rate=rate_closed_form):
     times of each of up to 256 queued steps; a pair of scalars broadcasts
     over the times.
     """
-    ts = _as_time_grid(t_grid)
+    ts = _time_grid(t_grid)
     G0, G_m, G_p = _generator(sys)
     channels = sys.channels[:, None]
 
@@ -246,7 +234,7 @@ def evolve_phenomenological(sys, kappa, t_grid):
     that traps population (one channel starving while the other drains)
     is absent by construction.  rho_analytic at I_-+ = kappa t is exact.
     """
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    ts = _as_time_grid(t_grid)
+    ts = _time_grid(t_grid)
     return _trajectory(ts, rho_analytic(sys, kappa * ts, kappa * ts, ts))

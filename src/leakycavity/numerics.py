@@ -6,6 +6,7 @@ The spectral module's quadrature oracle uses the Gauss-Legendre rule on
 module uses ode_solve, one loop that steps y' = A(t) y by Dormand &
 Prince's DOP853, ported to numpy from Hairer, Norsett & Wanner, and
 fills its output grid from the dense output of many accepted steps at once.
+Both take their time checks from here: _time_grid and _check_nonnegative_time.
 All functions are pure; there is no shared mutable state.  The
 propagator's tableau, tolerances and call budget are constants of this
 module, as are the tail's rules; the tail's tolerances are arguments,
@@ -36,6 +37,22 @@ class OdeSolveError(ArithmeticError):
     def __init__(self, message, last_t):
         super().__init__(message)
         self.last_t = last_t
+
+
+def _check_nonnegative_time(t):
+    if (np.asarray(t) < 0.0).any():
+        raise ValueError("t must be nonnegative")
+
+
+def _time_grid(t_grid):
+    """t_grid as a 1-D float array of finite times from t >= 0, strictly increasing;
+    each comparison is written so that a NaN fails it."""
+    ts = np.asarray(t_grid, dtype=float)
+    if ts.ndim != 1 or ts.size < 1:
+        raise ValueError("t_grid must be a nonempty 1-D array")
+    if not (ts[0] >= 0.0 and ts[-1] < np.inf and np.all(np.diff(ts) > 0.0)):
+        raise ValueError("t_grid must be finite, start at t >= 0 and strictly increase")
+    return ts
 
 
 _TAIL_TERMS = 28    # half-periods in its accelerated sum; the error estimate drops 8
@@ -150,7 +167,9 @@ def fourier_sine_tail(f, a, origin, freqs, rel_tol, abs_tol):
 _ODE_RTOL = 1e-10           # DOP853 local error control, relative
 _ODE_ATOL = 1e-12           # and absolute
 _ODE_MAX_NFEV = 1_000_000   # right-hand-side calls per call; more raise OdeSolveError
-_ODE_DENSE_STEPS = 256      # accepted steps whose dense output is computed at once
+# accepted steps whose dense output is computed at once; for a small system this cap, not
+# the 1 MB rule on the stage matrices, bounds the stage buffer, the queue and the Horner rows
+_ODE_DENSE_STEPS = 256
 
 
 def _floats(text):
@@ -248,18 +267,15 @@ def ode_solve(generator, state0, t_grid):
     queued, its 3 dense stage times counted at once; with _ODE_DENSE_STEPS
     queued (fewer if their stage matrices pass 1 MB) or the grid covered,
     one call asks for all of theirs, and each step's seventh-degree
-    interpolant fills its points, bit for bit as alone.  Returns an array
-    of shape (len(t_grid), len(state0)).  Raises OdeSolveError, carrying
-    the last good time, on a non-finite derivative at t_grid[0], once the
-    step is under 10 ulps of t, or, after a step that leaves the grid
-    unfilled, once _ODE_MAX_NFEV stage times are spent or 1% of them has
-    covered under 1% of the span.
+    interpolant fills its points, bit for bit as alone.  t_grid must be
+    finite, from t >= 0 and strictly increasing, else (NaN too) it is a
+    ValueError.  Returns an array of shape (len(t_grid), len(state0)).
+    Raises OdeSolveError, carrying the last good time, on a non-finite
+    derivative at t_grid[0], once the step is under 10 ulps of t, or,
+    after a step that leaves the grid unfilled, once _ODE_MAX_NFEV stage
+    times are spent or 1% of them has covered under 1% of the span.
     """
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 1:
-        raise ValueError("t_grid must be a nonempty 1-D array")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("t_grid must be strictly increasing")
+    ts = _time_grid(t_grid)
     y = np.atleast_1d(np.asarray(state0, dtype=complex if np.iscomplexobj(state0) else float))
     out = np.empty((ts.size, y.size), dtype=y.dtype)
     out[0] = y

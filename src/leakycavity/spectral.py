@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import QuadratureError, fourier_sine_tail, gauss_legendre
+from .numerics import QuadratureError, _check_nonnegative_time, fourier_sine_tail, gauss_legendre
 
 __all__ = [
     "LorentzianSpectrum",
@@ -55,11 +55,6 @@ class LorentzianSpectrum:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not self.lam > 0.0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-
-
-def _check_nonnegative_time(t):
-    if (np.asarray(t) < 0.0).any():
-        raise ValueError("t must be nonnegative")
 
 
 def _exponent(s, omega):

@@ -427,6 +427,9 @@ def test_phenomenological_rejects_negative_kappa():
     sys, _ = reference_case("a")
     with pytest.raises(ValueError):
         evolve_phenomenological(sys, -0.1, np.linspace(0.0, 1.0, 5))
+    # a NaN rate would give an all-NaN trajectory
+    with pytest.raises(ValueError):
+        evolve_phenomenological(sys, np.nan, np.linspace(0.0, 1.0, 5))
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.1, 1.0])
@@ -503,6 +506,21 @@ def test_time_grid_validation():
         evolve_analytic(sys, s, np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):
         evolve_analytic(sys, s, np.array([]))
+    # NaN and inf anywhere in a grid, in each route, before any rate is asked for
+    calls = []
+
+    def rate(s, omega, t):
+        calls.append(t)
+        return rate_closed_form(s, omega, t)
+    routes = [lambda ts: evolve_analytic(sys, s, ts),
+              lambda ts: evolve_tcl_ode(sys, s, ts, rate=rate),
+              lambda ts: evolve_phenomenological(sys, 0.1, ts)]
+    for evolve in routes:
+        for grid in ([np.nan, 1.0], [0.0, np.nan, 1.0], [0.0, 1.0, np.nan],
+                     [0.0, np.inf], [-np.inf, 0.0], [np.inf]):
+            with pytest.raises(ValueError):
+                evolve(np.array(grid))
+    assert calls == []
 
 
 # ---------------------------------------------------------------- beyond second order

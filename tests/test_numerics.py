@@ -325,19 +325,26 @@ try:
     ode_solve(lambda ts: np.full((ts.size, 1, 1), np.nan), np.array([1.0]), np.array([0.5, 1.0]))
 except OdeSolveError as exc:
     print(exc.last_t, exc)
+try:
+    ode_solve(lambda ts: -np.ones((ts.size, 1, 1)), np.array([1.0]), np.array([np.nan, 1.0]))
+except ValueError as exc:
+    print(exc)
 """
 
 
 def test_ode_nonfinite_initial_derivative_raises_at_once():
     # a NaN first derivative makes a NaN first step, which DOP853 would reject
-    # forever inside one step(); the timeout turns such a hang into a failure
+    # forever inside one step(); from a NaN start time the minimum step is NaN,
+    # so a rejected step neither underflows nor reaches the budget check; the
+    # timeout turns such a hang into a failure
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", NAN_START_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0.5 non-finite derivative at t=0.5\n"
+    assert proc.stdout == ("0.5 non-finite derivative at t=0.5\n"
+                           "t_grid must be finite, start at t >= 0 and strictly increase\n")
 
 
 def test_ode_step_budget_exhausted(monkeypatch):
@@ -380,3 +387,11 @@ def test_ode_rejects_bad_grid():
         ode_solve(_constant([[-1.0]]), np.array([1.0]), np.array([0.0, 1.0, 0.5]))
     with pytest.raises(ValueError):
         ode_solve(_constant([[-1.0]]), np.array([1.0]), np.array([]))
+    # a NaN passes a comparison like diff <= 0, and an infinite end or a negative
+    # start passes a check of order alone; each is refused before the generator
+    # is asked for anything
+    calls = []
+    for grid in ([0.0, np.nan, 1.0], [0.0, 1.0, np.nan], [0.0, np.inf], [-1.0, 0.0]):
+        with pytest.raises(ValueError, match="must be finite, start at t >= 0"):
+            ode_solve(_driven(np.cos, calls), np.array([0.0, 1.0]), np.array(grid))
+    assert calls == []
