@@ -207,21 +207,18 @@ def evolve_tcl_ode(sys, s, t_grid, rate=rate_closed_form):
     gamma_+ G+ is linear in it; ``ode_solve`` integrates it by its numpy
     DOP853 (relative 1e-10, absolute 1e-12), so this route loads no scipy
     unless ``rate`` does.  ``rate(s, omega, t)``, rate_closed_form (fast) or
-    spectral.rate_quadrature_oracle (slow: keep the horizon short), gives
-    gamma on the channel axis omega = channels[:, None] at the times t of
-    one call: a step attempt's 12 stage times, or the 3 dense-output stage
-    times of each of up to 256 queued steps; a pair of scalars broadcasts
-    over the times.
+    spectral.rate_quadrature_oracle (slow: keep the horizon short), returns
+    gamma on the channel axis omega = channels[:, None] as a (2, len(t))
+    array at the times t of one ode_solve generator call; ode_solve's
+    docstring gives how it batches the stage times.
     """
     ts = _time_grid(t_grid)
     G0, G_m, G_p = _generator(sys)
     channels = sys.channels[:, None]
 
     def generator(times):
-        # times 1.0 keeps each rate's bits, and broadcasts a scalar pair
-        g_m, g_p = ((g * np.ones(times.shape))[:, None, None]
-                    for g in rate(s, channels, times))
-        return G0 + g_m * G_m + g_p * G_p
+        g_m, g_p = rate(s, channels, times)
+        return G0 + g_m[:, None, None] * G_m + g_p[:, None, None] * G_p
 
     return _trajectory(ts, _unpack(ode_solve(generator, _pack(initial_state_atom_excited()), ts)))
 

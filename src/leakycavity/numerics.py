@@ -9,8 +9,9 @@ fills its output grid from the dense output of many accepted steps at once.
 Both take their time checks from here: _time_grid and _check_nonnegative_time.
 All functions are pure; there is no shared mutable state.  The
 propagator's tableau, tolerances and call budget are constants of this
-module, as are the tail's rules; the tail's tolerances are arguments,
-set by its caller.  Everything here is numpy: no route of the package
+module, as are the tail's rules and its relative tolerance; only the
+tail's absolute tolerance, which scales with the integrand, is its
+caller's.  Everything here is numpy: no route of the package
 imports scipy, which the tests use as a reference alone.
 """
 
@@ -56,6 +57,7 @@ def _time_grid(t_grid):
 
 
 _TAIL_TERMS = 28    # half-periods in its accelerated sum; the error estimate drops 8
+_TAIL_RTOL = 1e-10  # the tail's relative tolerance
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +129,7 @@ def _tail_pieces(f, a, origin, t, nodes):
     return head, terms
 
 
-def fourier_sine_tail(f, a, origin, freqs, rel_tol, abs_tol):
+def fourier_sine_tail(f, a, origin, freqs, abs_tol):
     """int_a^inf f(x) sin(t x) dx for each t > 0 in freqs, with 0 <= origin <= a.
 
     ``f`` maps an array of nodes in [a, inf) to its values there; it must
@@ -141,20 +143,25 @@ def fourier_sine_tail(f, a, origin, freqs, rel_tol, abs_tol):
     accelerated by Cohen, Rodriguez Villegas & Zagier (Experiment. Math.
     9, 2000).  Every panel takes a 20-point Gauss-Legendre rule.  Where a
     half-period overflows (t below about 2e-308), or t x0 does, the tail
-    past x0 is dropped.  The error estimate adds the change from 16-point
-    rules and from 8 accelerated terms fewer; above max(abs_tol,
-    rel_tol*|result|) it raises QuadratureError quoting both numbers, and
-    a non-finite f gives a non-finite result instead.  The whole batch is
-    taken at once, so the temporaries grow with it (a peak of about 27 kB
-    a time); a time's value does not depend on the rest of the batch.
+    past x0 is dropped.  f is called with overflow ignored: at a small t
+    the far nodes are where a decaying f's terms overflow, and f reads its
+    limit 0.  The error estimate adds the change from 16-point rules and
+    from 8 accelerated terms fewer; above max(abs_tol, the smallest normal
+    float, _TAIL_RTOL*|result|) it raises QuadratureError quoting both
+    numbers (the floor keeps a zero abs_tol from asking for the relative
+    accuracy of rounding noise), and a non-finite f gives a non-finite
+    result instead.  The whole batch is taken at once, so the temporaries
+    grow with it (a peak of about 27 kB a time); a time's value does not
+    depend on the rest of the batch.
     """
     t = np.asarray(freqs, dtype=float)
     accel, check = (_cvz_weights(n, _TAIL_TERMS) for n in (_TAIL_TERMS, _TAIL_TERMS - 8))
-    (head, terms), (head16, terms16) = (_tail_pieces(f, a, origin, t, n) for n in (20, 16))
-    value = head + np.einsum("ij,j->i", terms, accel)
-    err = (np.abs(value - head16 - np.einsum("ij,j->i", terms16, accel))
-           + np.abs(np.einsum("ij,j->i", terms, accel - check)))
-    tol = np.maximum(abs_tol, rel_tol * np.abs(value))
+    with np.errstate(over="ignore"):
+        (head, terms), (head16, terms16) = (_tail_pieces(f, a, origin, t, n) for n in (20, 16))
+        value = head + np.einsum("ij,j->i", terms, accel)
+        err = (np.abs(value - head16 - np.einsum("ij,j->i", terms16, accel))
+               + np.abs(np.einsum("ij,j->i", terms, accel - check)))
+    tol = np.maximum(max(abs_tol, np.finfo(float).tiny), _TAIL_RTOL * np.abs(value))
     bad = np.flatnonzero(err > tol)
     if bad.size:
         j = bad[0]
@@ -265,7 +272,7 @@ def ode_solve(generator, state0, t_grid):
     factors within [0.2, 10], the last step clamped to t_grid[-1]; no other
     step depends on the grid.  An accepted step that covers grid points is
     queued, its 3 dense stage times counted at once; with _ODE_DENSE_STEPS
-    queued (fewer if their stage matrices pass 1 MB) or the grid covered,
+    (256) queued (fewer if their stage matrices pass 1 MB) or the grid covered,
     one call asks for all of theirs, and each step's seventh-degree
     interpolant fills its points, bit for bit as alone.  t_grid must be
     finite, from t >= 0 and strictly increasing, else (NaN too) it is a

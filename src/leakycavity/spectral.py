@@ -132,9 +132,9 @@ def rate_quadrature_oracle(s, omega, t):
     tail of the smooth integrand 2 [J(omega+x) + J(omega-x)]/x on
     [R, inf) by numerics.fourier_sine_tail (panels in ln(x - |detuning -
     omega|) up to x t ~ 1, then half-periods of sin(x t) summed with
-    Cohen-Rodriguez Villegas-Zagier acceleration), to relative 1e-10 and
-    absolute 1e-12 alpha.  No use is made of the closed-form result; this is a test
-    oracle, not a fast path.
+    Cohen-Rodriguez Villegas-Zagier acceleration), to the tail's relative
+    1e-10 and absolute 1e-12 alpha.  No use is made of the closed-form
+    result; this is a test oracle, not a fast path.
     Broadcasts over omega and t like rate_closed_form.  The window [0, R]
     does not depend on t: per distinct omega, every time of one level
     shares one panel set.  The n panels are 2h wide, h = R/(2n), and node
@@ -192,9 +192,6 @@ def _oracle_channel(s, omega, t):
         raise QuadratureError(
             f"panel quadrature needs {top:.3g} panels, above the budget of {_PANEL_BUDGET}")
     xi, w = gauss_legendre(16)
-    # 1e-12 * alpha underflows to 0 for a subnormal alpha, which would ask
-    # the tail for the relative accuracy of rounding noise
-    abs_tol = max(1e-12 * s.alpha, np.finfo(float).tiny)
     for i in range(0, rows.size, _ROWS):
         block, levels = rows[i:i + _ROWS], level[i:i + _ROWS]
         for k in set(levels.tolist()):
@@ -215,12 +212,8 @@ def _oracle_channel(s, omega, t):
             # sin(t x) = sin(t e) cos(t u) + cos(t e) sin(t u) at x = e + u
             tu = np.multiply.outer(t[r], offsets)
             out[r] = np.einsum("ij,ij->i", np.cos(tu), U) + np.einsum("ij,ij->i", np.sin(tu), V)
-        # folded's nearest poles are at x = |d| -+ i lam, 200 half-widths below R;
-        # below t ~ 1e-154 the tail reaches x where the squares overflow and J
-        # reads its limit 0
-        with np.errstate(over="ignore"):
-            out[block] += fourier_sine_tail(folded, R, abs(d), t[block], rel_tol=1e-10,
-                                            abs_tol=abs_tol)
+        # folded's nearest poles are at x = |d| -+ i lam, 200 half-widths below R
+        out[block] += fourier_sine_tail(folded, R, abs(d), t[block], 1e-12 * s.alpha)
     return out
 
 

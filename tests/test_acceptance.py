@@ -121,7 +121,8 @@ def test_criterion_08_exact_trapping_limit():
         sys, s = reference_case("a")
         ts = np.linspace(0.0, 2000.0, 401)
         traj = evolve_tcl_ode(
-            sys, s, ts, rate=lambda s, omega, t: (rate_closed_form(s, omega[0], t), 0.0))
+            sys, s, ts,
+            rate=lambda s, omega, t: (rate_closed_form(s, omega[0], t), np.zeros_like(t)))
         assert abs(traj.P_atom_e[-1] - 0.25) <= 1e-6
         assert abs(traj.P_0g[-1] - 0.5) <= 1e-6
         # closed-form cross-check of the same limit

@@ -295,7 +295,7 @@ def test_batched_rates_and_generator_are_bitwise_the_per_time_ones(batch):
 def test_ode_rates_forced_to_zero_gives_rabi_oscillation():
     sys, s = reference_case("a")
     ts = np.linspace(0.0, 12.0, 241)
-    traj = evolve_tcl_ode(sys, s, ts, rate=lambda s, omega, t: (0.0, 0.0))
+    traj = evolve_tcl_ode(sys, s, ts, rate=lambda s, omega, t: np.zeros((2, t.size)))
     expected = np.cos(sys.Omega * ts) ** 2
     assert np.max(np.abs(traj.P_0e - expected)) < 1e-9
     assert np.max(np.abs(traj.P_minus - 0.5)) < 1e-10
@@ -356,7 +356,7 @@ SYS_B, S_B = reference_case("b")
 @pytest.mark.parametrize("rates", [
     lambda t: (rate_closed_form(S_B, SYS_B.channels[0], t),
                rate_closed_form(S_B, SYS_B.channels[1], t)),
-    lambda t: (0.3, 0.05),
+    lambda t: (np.full(t.size, 0.3), np.full(t.size, 0.05)),
 ], ids=["case-b", "constant-unequal"])
 def test_generator_matches_per_call_reference(rates):
     ts = np.linspace(0.0, 12.0, 241)
@@ -439,7 +439,7 @@ def test_phenomenological_closed_form_matches_the_master_equation_ode(kappa):
     sys, s = reference_case("a")
     ts = np.linspace(0.0, 50.0, 501)
     got = evolve_phenomenological(sys, kappa, ts)
-    ode = evolve_tcl_ode(sys, s, ts, rate=lambda s, omega, t: (kappa, kappa))
+    ode = evolve_tcl_ode(sys, s, ts, rate=lambda s, omega, t: np.full((2, t.size), kappa))
     assert np.max(np.abs(got.states - ode.states)) < 1e-8
     for P in (got.P_minus, got.P_plus):
         assert np.max(np.abs(P - 0.5 * np.exp(-0.5 * kappa * ts))) < 1e-15

@@ -13,11 +13,11 @@ from leakycavity.numerics import (OdeSolveError, QuadratureError,
 from reference import reference_case
 
 
-TOL = dict(rel_tol=1e-10, abs_tol=1e-12)
+TOL = 1e-12  # absolute; the relative tolerance is the tail's own
 
 
 def test_quadrature_zero_integrand():
-    assert fourier_sine_tail(np.zeros_like, 0.0, 0.0, [1.0], **TOL) == 0.0
+    assert fourier_sine_tail(np.zeros_like, 0.0, 0.0, [1.0], TOL) == 0.0
 
 
 # the last two put x0 = a on a zero of sin(t x) and a quarter period past one
@@ -26,7 +26,7 @@ def test_quadrature_zero_integrand():
 def test_quadrature_exponential_fourier_tail(a, freq):
     # int_a^inf e^{-x} sin(w x) dx = e^{-a} (sin(w a) + w cos(w a)) / (1 + w^2)
     exact = np.exp(-a) * (np.sin(freq * a) + freq * np.cos(freq * a)) / (1 + freq**2)
-    got = fourier_sine_tail(lambda x: np.exp(-x), a, 0.0, [freq], **TOL)[0]
+    got = fourier_sine_tail(lambda x: np.exp(-x), a, 0.0, [freq], TOL)[0]
     assert abs(got - exact) < 1e-15
 
 
@@ -37,13 +37,20 @@ def test_quadrature_nonconvergence_carries_estimate():
     def peak(x):
         return lam / ((x - 1.0) ** 2 + lam * lam)
 
-    tol = dict(rel_tol=1e-12, abs_tol=1e-14)
     with pytest.raises(QuadratureError) as err:
-        fourier_sine_tail(peak, 0.0, 0.0, [1.0], **tol)
+        fourier_sine_tail(peak, 0.0, 0.0, [1.0], 1e-14)
     found = re.fullmatch(r"Fourier tail at frequency 1: estimated error (\S+) "
                          r"above the tolerance (\S+)", str(err.value))
     error, bound = map(float, found.groups())
     assert np.isfinite(error) and error > bound >= 1e-14
+
+
+def test_quadrature_floors_a_zero_absolute_tolerance():
+    # at a = 3 pi/4 the exact tail of e^{-x} sin(x) is 0, so for a subnormal
+    # integrand the result is rounding noise below the smallest normal float;
+    # a tolerance of 0 would ask for its relative accuracy and raise
+    got = fourier_sine_tail(lambda x: 1e-310 * np.exp(-x), 0.75 * np.pi, 0.0, [1.0], 0.0)
+    assert np.isfinite(got[0]) and abs(got[0]) < np.finfo(float).tiny
 
 
 @pytest.mark.parametrize("n", [16, 20])

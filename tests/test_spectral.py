@@ -347,7 +347,7 @@ def test_oracle_window_matches_the_per_node_kernel(log_lam, offset, below, above
     omega = s.detuning + offset
     R, origin, f = _folded_tail_integrand(s, omega)
     t = np.array([below, above]) * 4.0 * np.pi / lam
-    want = numerics.fourier_sine_tail(f, R, origin, t, rel_tol=1e-10, abs_tol=1e-12 * s.alpha)
+    want = numerics.fourier_sine_tail(f, R, origin, t, 1e-12 * s.alpha)
     xi, w = numerics.gauss_legendre(16)
     for k, u in enumerate(t.tolist()):
         level = max(0, int(np.ceil(np.log2(u * lam / (4.0 * np.pi)))))
@@ -491,7 +491,7 @@ def test_fourier_tail_matches_qawf_where_qawf_is_sound(lam):
     t = np.linspace(0.0, 20.0, 401)[1:]
     for omega in (-0.5, 0.5):
         R, origin, f = _folded_tail_integrand(s, omega)
-        got = numerics.fourier_sine_tail(f, R, origin, t, rel_tol=1e-10, abs_tol=1e-12 * s.alpha)
+        got = numerics.fourier_sine_tail(f, R, origin, t, 1e-12 * s.alpha)
         for u, value in zip(t.tolist(), got.tolist()):
             if R * u >= 1.0:
                 want = quad(f, R, np.inf, weight="sin", wvar=u, epsabs=1e-16 * s.alpha,
